@@ -57,16 +57,8 @@ def _aesgcm(key: bytes) -> AESGCM:
 def _ecb_encryptor(key: bytes):
     # ECB over successive counter blocks IS the CTR keystream; a single
     # long-lived encryptor works because ECB chains no state between blocks
-    cache = getattr(_TLS, "ecb", None)
-    if cache is None:
-        cache = _TLS.ecb = {}
-    enc = cache.get(key)
-    if enc is None:
-        if len(cache) >= _CACHE_CAP:
-            cache.clear()
-        enc = cache[key] = Cipher(algorithms.AES(key),
-                                  modes.ECB()).encryptor()
-    return enc
+    return _cached("ecb", key, lambda: Cipher(algorithms.AES(key),
+                                              modes.ECB()).encryptor())
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ class BadName(LcmsecError):
 
 
 class OversizeMessage(LcmsecError):
-    """Message body exceeds the 32-bit fragmentation bound."""
+    """Message body exceeds what a receiver reassembles."""
 
 
 class InconsistentFragment(LcmsecError):
@@ -77,22 +77,6 @@ class InconsistentFragment(LcmsecError):
 
 class StaleInstance(LcmsecError):
     """Instance id not greater than an already completed or attempted one."""
-
-
-class BadSignature(LcmsecError):
-    """Management message signature does not verify."""
-
-
-class UnknownSender(LcmsecError):
-    """Round message from a uid outside the agreed ring."""
-
-
-class WrongInstance(LcmsecError):
-    """Round message instance id does not match the running agreement."""
-
-
-class ConsistencyFailure(LcmsecError):
-    """Recovered ring keys do not close: inconsistent participant sets."""
 
 
 # --- session ----------------------------------------------------------------

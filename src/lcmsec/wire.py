@@ -9,6 +9,7 @@ and decoders reject anything whose re-encoding differs from the input.
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -23,6 +24,15 @@ MAGIC_PLAIN = 0x4C433032
 
 #: channel name bound, terminator included
 MAX_CHANNELNAME = 256
+#: largest sealed body (ciphertext and tag) a receiver reassembles; senders
+#: refuse anything bigger
+MAX_MESSAGE_BODY = 1 << 22
+#: reassembly slots alive at once, across all senders
+REASSEMBLY_MAX_SLOTS = 1024
+#: bytes held by reassembly across all senders, each fragment charged its
+#: datagram size; room for the largest message with the most fragments, so a
+#: legit message never has to evict itself
+REASSEMBLY_MAX_BYTES = 1 << 24
 
 _SECURE_HDR = struct.Struct(">IIH")
 _FRAG_HDR = struct.Struct(">IIHIIHH")
@@ -172,9 +182,10 @@ def fragment(enc_channelname: bytes, body: bytes, seqno: int, sender_id: int,
 
     Returns a single SecurePacket when everything fits in ``mtu``, otherwise
     FragmentPackets with maximal chunks. Encryption already happened; this
-    only slices bytes.
+    only slices bytes. A body above ``MAX_MESSAGE_BODY`` is refused, since
+    no receiver would reassemble it.
     """
-    if len(body) > 0xFFFFFFFF:
+    if len(body) > MAX_MESSAGE_BODY:
         raise OversizeMessage(f"body of {len(body)} bytes")
     if SECURE_HEADER_LEN + len(enc_channelname) + len(body) <= mtu:
         return [SecurePacket(seqno=seqno, sender_id=sender_id,
@@ -202,57 +213,137 @@ def fragment(enc_channelname: bytes, body: bytes, seqno: int, sender_id: int,
     return out
 
 
-class ReassemblyBuffer:
-    """Order-independent fragment collector with bounded memory.
+class _Slot:
+    """One message being reassembled."""
 
-    Completion yields (enc_channelname, body). Incomplete messages are
-    dropped after ``timeout`` seconds and each sender may hold at most
-    ``per_sender`` messages in flight, oldest evicted first.
+    __slots__ = ("first_seen", "full_len", "total", "parts", "section_bytes")
+
+    def __init__(self, first_seen: float, full_len: int, total: int):
+        self.first_seen = first_seen
+        self.full_len = full_len
+        self.total = total
+        # fragment number -> (offset, section)
+        self.parts: dict[int, tuple[int, bytes]] = {}
+        self.section_bytes = 0
+
+    @property
+    def stored(self) -> int:
+        """What the slot is charged against ``REASSEMBLY_MAX_BYTES``."""
+        return self.section_bytes + FRAGMENT_HEADER_LEN * len(self.parts)
+
+
+class ReassemblyBuffer:
+    """Order-independent fragment collector with bounded memory and O(1)
+    amortised work per fragment.
+
+    Completion yields (enc_channelname, body). Fragments are unauthenticated
+    until the body opens, so every limit here holds whatever sender ids and
+    message ids arrive:
+
+    - Slots are kept in first-seen order, so expiry pops from the front
+      until it meets a slot younger than ``timeout`` seconds.
+    - Each sender holds at most ``per_sender`` messages in flight; a new one
+      drops that sender's oldest.
+    - Across all senders at most ``REASSEMBLY_MAX_SLOTS`` slots live and at
+      most ``REASSEMBLY_MAX_BYTES`` are held, each fragment charged its
+      datagram size; either cap drops the oldest slots first.
+    - A message declaring a body above ``MAX_MESSAGE_BODY`` is refused
+      before anything is stored, and a fragment that would take its slot's
+      sections past the declared length plus ``MAX_CHANNELNAME`` drops the
+      slot.
+
+    Expiry assumes ``now`` does not step backwards; if it does, slots only
+    expire later than they should, and the caps still bound memory.
     """
 
     def __init__(self, timeout: float = 5.0, per_sender: int = 16):
         self.timeout = timeout
         self.per_sender = per_sender
-        # (sender, seqno) -> [first_seen, full_len, total, {no: section}]
-        self._slots: dict[tuple[int, int], list] = {}
+        self._slots: OrderedDict[tuple[int, int], _Slot] = OrderedDict()
+        # sender -> its slot keys in first-seen order
+        self._by_sender: dict[int, dict[tuple[int, int], None]] = {}
+        self._stored = 0
 
-    def _evict(self, now: float, sender: int):
-        for key, slot in list(self._slots.items()):
-            if now - slot[0] > self.timeout:
-                del self._slots[key]
-        mine = [k for k in self._slots if k[0] == sender]
-        while len(mine) >= self.per_sender:
-            oldest = min(mine, key=lambda k: self._slots[k][0])
-            del self._slots[oldest]
-            mine.remove(oldest)
+    @property
+    def stored_bytes(self) -> int:
+        """Bytes charged against ``REASSEMBLY_MAX_BYTES`` right now."""
+        return self._stored
+
+    def _drop(self, key: tuple[int, int]) -> _Slot:
+        slot = self._slots.pop(key)
+        mine = self._by_sender[key[0]]
+        del mine[key]
+        if not mine:
+            del self._by_sender[key[0]]
+        self._stored -= slot.stored
+        return slot
+
+    def _open(self, key: tuple[int, int], f: FragmentPacket,
+              now: float) -> _Slot:
+        """New slot for ``f``'s message, after whatever eviction it needs;
+        a declared body no receiver reassembles is refused first."""
+        if f.full_body_length > MAX_MESSAGE_BODY:
+            raise OversizeMessage(
+                f"declared body of {f.full_body_length} bytes")
+        slots = self._slots
+        while slots:
+            oldest, slot = next(iter(slots.items()))
+            if now - slot.first_seen <= self.timeout:
+                break
+            self._drop(oldest)
+        mine = self._by_sender.get(key[0])
+        while mine and len(mine) >= self.per_sender:
+            self._drop(next(iter(mine)))
+        while len(slots) >= REASSEMBLY_MAX_SLOTS:
+            self._drop(next(iter(slots)))
+        # looked up again: the drops above delete a sender's index once
+        # its last slot goes
+        self._by_sender.setdefault(key[0], {})[key] = None
+        slot = slots[key] = _Slot(now, f.full_body_length, f.fragments_total)
+        return slot
+
+    def _make_room(self, key: tuple[int, int], charge: int):
+        """Drop the oldest slots other than ``key`` until ``charge`` fits."""
+        while self._stored + charge > REASSEMBLY_MAX_BYTES:
+            victims = iter(self._slots)
+            victim = next(victims)
+            if victim == key:
+                victim = next(victims)
+            self._drop(victim)
 
     def add(self, f: FragmentPacket, now: float
             ) -> tuple[bytes, bytes] | None:
         key = (f.sender_id, f.seqno)
         slot = self._slots.get(key)
         if slot is None:
-            self._evict(now, f.sender_id)
-            slot = [now, f.full_body_length, f.fragments_total, {}]
-            self._slots[key] = slot
-        if (f.full_body_length, f.fragments_total) != (slot[1], slot[2]):
-            del self._slots[key]
+            slot = self._open(key, f, now)
+        if (f.full_body_length, f.fragments_total) != (slot.full_len,
+                                                       slot.total):
+            self._drop(key)
             raise InconsistentFragment(
                 "conflicting totals for one message id")
-        prior = slot[3].get(f.fragment_no)
+        prior = slot.parts.get(f.fragment_no)
         if prior is not None:
             if prior != (f.fragment_offset, f.section):
-                del self._slots[key]
+                self._drop(key)
                 raise InconsistentFragment("conflicting duplicate fragment")
             return None
-        slot[3][f.fragment_no] = (f.fragment_offset, f.section)
-        if len(slot[3]) < slot[2]:
+        section_bytes = slot.section_bytes + len(f.section)
+        if section_bytes > slot.full_len + MAX_CHANNELNAME:
+            self._drop(key)
+            raise InconsistentFragment("sections exceed declared length")
+        charge = FRAGMENT_HEADER_LEN + len(f.section)
+        self._make_room(key, charge)
+        slot.parts[f.fragment_no] = (f.fragment_offset, f.section)
+        slot.section_bytes = section_bytes
+        self._stored += charge
+        if len(slot.parts) < slot.total:
             return None
-        del self._slots[key]
-        return self._assemble(slot)
+        return self._assemble(self._drop(key))
 
     @staticmethod
-    def _assemble(slot) -> tuple[bytes, bytes]:
-        _, full_len, total, parts = slot
+    def _assemble(slot: _Slot) -> tuple[bytes, bytes]:
+        full_len, total, parts = slot.full_len, slot.total, slot.parts
         # chunks 1..n-1 arrive bare, so fragment 0's chunk length (and with
         # it the channel-name boundary) follows from the length budget
         rest = sum(len(parts[no][1]) for no in range(1, total))

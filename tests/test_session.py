@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmsec.crypto import kdf_expand, key_context
-from lcmsec.errors import (BadName, CounterExhausted, NoKey, NotAuthorized)
+from lcmsec.crypto import TAG_LEN, kdf_expand, key_context
+from lcmsec.errors import (BadName, CounterExhausted, NoKey, NotAuthorized,
+                           OversizeMessage)
 from lcmsec.session import (KeyStore, ReplayWindow, SendCounter, Session,
                             SessionConfig, parse_config)
 from lcmsec.wire import decode_secure, encode_plain_lcm, peek_magic, \
-    MAGIC_SECURE
+    MAGIC_SECURE, MAX_CHANNELNAME, MAX_MESSAGE_BODY, FragmentPacket, \
+    encode_fragment
 
 GROUP = "239.255.76.67:7667"
 SEED_A = b"\x11" * 33
@@ -304,6 +306,38 @@ def test_missing_fragment_no_delivery():
     out = tx.publish("chatter", b"z" * 5000)
     assert all(rx.receive(d) is None for d in out[:-1])
     assert rx.stats.delivered == 0
+
+
+IMPOSSIBLE_FRAGMENTS = {
+    "oversize_body": [FragmentPacket(5, 1, MAX_MESSAGE_BODY + 1, 0, 0, 4000,
+                                     b"n\x00" + b"a" * 1000)],
+    "sections_overflow": [
+        FragmentPacket(5, 1, 100, 0, 0, 3, b"a" * 300),
+        FragmentPacket(5, 1, 100, 300, 1, 3, b"b" * (MAX_CHANNELNAME + 1))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPOSSIBLE_FRAGMENTS))
+def test_impossible_fragments_dropped_as_bad_fragment(case):
+    rx = make_session(sender_id=2)
+    for f in IMPOSSIBLE_FRAGMENTS[case]:
+        assert rx.receive(encode_fragment(f)) is None
+    assert rx.stats.drops == {"bad_fragment": 1}
+
+
+def test_publish_refuses_what_peers_cannot_reassemble():
+    tx = make_session(mtu=1400)
+    rx = make_session(sender_id=2)
+    with pytest.raises(OversizeMessage):
+        tx.publish("chatter", bytes(MAX_MESSAGE_BODY - TAG_LEN + 1))
+    assert tx.counter.value == 0
+    assert tx.stats.published == 0
+    # one byte less is the largest message, and it arrives
+    largest = bytes(MAX_MESSAGE_BODY - TAG_LEN)
+    out = tx.publish("chatter", largest)
+    assert tx.counter.value == 1
+    assert [r for r in (rx.receive(d) for d in out) if r is not None] == [
+        ("chatter", largest)]
 
 
 def test_epoch_fallback_and_grace():

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import math
 import random
+import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lcmsec import wire
 from lcmsec.errors import (BadMagic, BadName, InconsistentFragment,
-                           NonCanonical, OversizeMessage, Truncated)
+                           LcmsecError, NonCanonical, OversizeMessage,
+                           Truncated)
 from lcmsec.wire import (FRAGMENT_HEADER_LEN, MAGIC_FRAGMENT, MAGIC_SECURE,
+                         MAX_CHANNELNAME, MAX_MESSAGE_BODY,
+                         REASSEMBLY_MAX_BYTES, REASSEMBLY_MAX_SLOTS,
                          SECURE_HEADER_LEN, FragmentPacket,
                          ManagementEnvelope, MsgKind, ReassemblyBuffer,
                          SecurePacket, decode_fragment, decode_management,
@@ -248,6 +254,190 @@ def test_per_sender_cap():
     frags = fragment(b"n\x00", b"q" * 3000, 0, 2, mtu=1400)
     buf.add(frags[0], now=0.2)
     assert len(buf) == 5
+
+
+# 1378 B fills a 1400 B datagram, so the slot cap binds; 65,000 B sections
+# make the byte cap bind first
+@pytest.mark.parametrize("section_len", [1400 - FRAGMENT_HEADER_LEN, 65_000])
+def test_forged_first_fragment_flood_is_bounded(section_len):
+    # every forged fragment is a new sender id and message id inside one
+    # timeout, so neither expiry nor the per-sender cap ever applies
+    section = random.Random(section_len).randbytes(section_len)
+    forged = [FragmentPacket(seqno=n, sender_id=1 + n,
+                             full_body_length=65536, fragment_offset=0,
+                             fragment_no=0, fragments_total=48,
+                             section=section) for n in range(50_000)]
+    buf = ReassemblyBuffer()
+    peak_slots = peak_bytes = 0
+    t0 = time.perf_counter()
+    for f in forged:
+        buf.add(f, now=0.0)
+        peak_slots = max(peak_slots, len(buf))
+        peak_bytes = max(peak_bytes, buf.stored_bytes)
+    assert time.perf_counter() - t0 < 1.0
+    assert peak_slots <= REASSEMBLY_MAX_SLOTS
+    assert peak_bytes <= REASSEMBLY_MAX_BYTES
+    # the flood saturated one of the caps
+    assert (peak_slots == REASSEMBLY_MAX_SLOTS
+            or peak_bytes > REASSEMBLY_MAX_BYTES - section_len
+            - FRAGMENT_HEADER_LEN)
+    legit = fragment(b"n\x00", b"y" * 3000, seqno=7, sender_id=60_000,
+                     mtu=1400)
+    assert len(legit) == 3
+    assert [buf.add(p, now=0.0) for p in legit] == [
+        None, None, (b"n\x00", b"y" * 3000)]
+
+
+def test_sender_whose_last_slot_the_slot_cap_took_can_reopen():
+    buf = ReassemblyBuffer()
+    first = fragment(b"n\x00", b"a" * 3000, seqno=1, sender_id=1, mtu=1400)
+    buf.add(first[0], now=0.0)
+    for n in range(REASSEMBLY_MAX_SLOTS - 1):
+        buf.add(FragmentPacket(n, 100 + n, 3000, 0, 0, 3, b"x"), now=0.0)
+    # sender 1's only slot is the oldest, so its next message evicts it
+    second = fragment(b"n\x00", b"b" * 3000, seqno=2, sender_id=1, mtu=1400)
+    assert [buf.add(p, now=0.0) for p in second] == [
+        None, None, (b"n\x00", b"b" * 3000)]
+    assert len(buf) == REASSEMBLY_MAX_SLOTS - 1
+
+
+class ScanningReassembly:
+    """Reference for ReassemblyBuffer: the same limits, found by scanning
+    every slot on each call, as the buffer did before it kept them in
+    arrival order. Only valid for a clock that never steps back."""
+
+    def __init__(self, timeout: float, per_sender: int):
+        self.timeout = timeout
+        self.per_sender = per_sender
+        self.slots = []     # [key, first_seen, full_len, total, parts]
+
+    def stored(self) -> int:
+        return sum(FRAGMENT_HEADER_LEN + len(section)
+                   for slot in self.slots for _, section in slot[4].values())
+
+    def add(self, f: FragmentPacket, now: float):
+        key = (f.sender_id, f.seqno)
+        slot = next((s for s in self.slots if s[0] == key), None)
+        if slot is None:
+            if f.full_body_length > wire.MAX_MESSAGE_BODY:
+                raise OversizeMessage("declared body")
+            self.slots = [s for s in self.slots
+                          if now - s[1] <= self.timeout]
+            mine = [s for s in self.slots if s[0][0] == f.sender_id]
+            while len(mine) >= self.per_sender:
+                oldest = min(mine, key=lambda s: s[1])
+                mine.remove(oldest)
+                self.slots.remove(oldest)
+            while len(self.slots) >= wire.REASSEMBLY_MAX_SLOTS:
+                self.slots.pop(0)
+            slot = [key, now, f.full_body_length, f.fragments_total, {}]
+            self.slots.append(slot)
+        parts = slot[4]
+        prior = parts.get(f.fragment_no)
+        if ((f.full_body_length, f.fragments_total) != (slot[2], slot[3])
+                or prior not in (None, (f.fragment_offset, f.section))
+                or (prior is None
+                    and sum(len(sec) for _, sec in parts.values())
+                    + len(f.section) > slot[2] + MAX_CHANNELNAME)):
+            self.slots.remove(slot)
+            raise InconsistentFragment("rejected")
+        if prior is not None:
+            return None
+        while (self.stored() + FRAGMENT_HEADER_LEN + len(f.section)
+               > wire.REASSEMBLY_MAX_BYTES):
+            self.slots.remove(next(s for s in self.slots if s is not slot))
+        parts[f.fragment_no] = (f.fragment_offset, f.section)
+        if len(parts) < slot[3]:
+            return None
+        self.slots.remove(slot)
+        complete = wire._Slot(slot[1], slot[2], slot[3])
+        complete.parts = parts
+        return ReassemblyBuffer._assemble(complete)
+
+
+def _outcome(buf, f, now):
+    try:
+        return buf.add(f, now)
+    except LcmsecError as exc:
+        return type(exc)
+
+
+_legit_or_forged = st.one_of(
+    st.tuples(st.just("legit"), st.integers(0, 7)),
+    # few distinct totals, so forged fragments often share a slot
+    st.tuples(st.just("forged"), st.sampled_from([100, 250, 301]),
+              st.sampled_from([1, 3]), st.integers(0, 200)))
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3),
+                          _legit_or_forged,
+                          st.sampled_from([0.0, 0.5, 2.5, 5.0])),
+                max_size=80))
+# the byte cap has to drop two slots: the small oldest one frees too little
+@example([(1, 0, ("forged", 250, 3, 21), 0.0),
+          (2, 0, ("forged", 250, 3, 200), 0.0),
+          (2, 0, ("forged", 250, 3, 199), 0.0),
+          (3, 0, ("forged", 250, 3, 190), 0.0),
+          (1, 1, ("forged", 250, 3, 200), 0.0)])
+@settings(max_examples=300, deadline=None)
+def test_reassembly_matches_scanning_reference(ops):
+    # caps small enough that a short run reaches each of them; the byte cap
+    # still holds any one slot (at most 556 section bytes in 3 fragments).
+    # Steps of 0.5 s add up exactly, so arrivals land on the timeout too.
+    with mock.patch.multiple(wire, REASSEMBLY_MAX_SLOTS=4,
+                             REASSEMBLY_MAX_BYTES=700, MAX_MESSAGE_BODY=300):
+        buf = ReassemblyBuffer(timeout=5.0, per_sender=2)
+        ref = ScanningReassembly(timeout=5.0, per_sender=2)
+        now = 0.0
+        for sender, seqno, packet, dt in ops:
+            now += dt
+            if packet[0] == "legit":
+                body = bytes([seqno]) * (40 + 30 * sender + 40 * seqno)
+                frags = fragment(b"n\x00", body, seqno, sender, mtu=60)
+                f = frags[packet[1] % len(frags)]
+            else:
+                _, full_len, total, section_len = packet
+                f = FragmentPacket(seqno, sender, full_len, 0,
+                                   section_len % total, total,
+                                   bytes(section_len))
+            assert _outcome(buf, f, now) == _outcome(ref, f, now)
+            assert len(buf) == len(ref.slots)
+            assert buf.stored_bytes == ref.stored()
+
+
+def test_largest_message_fits_the_byte_budget():
+    # a legit slot never has to evict itself: the largest body, cut into
+    # the most fragments the 16-bit count allows, stays within the budget
+    assert (MAX_MESSAGE_BODY + MAX_CHANNELNAME
+            + 0xFFFF * FRAGMENT_HEADER_LEN) <= REASSEMBLY_MAX_BYTES
+
+
+REFUSED = {
+    # a declared body no receiver reassembles
+    "oversize_body": (OversizeMessage, [
+        FragmentPacket(1, 1, MAX_MESSAGE_BODY + 1, 0, 0, 4000,
+                       b"n\x00" + b"a" * 1000)]),
+    # one section already longer than its declared length allows
+    "first_section_overflows": (InconsistentFragment, [
+        FragmentPacket(1, 1, 100, 0, 0, 2,
+                       b"a" * (100 + MAX_CHANNELNAME + 1))]),
+    # each section fits alone, together they do not
+    "sections_overflow": (InconsistentFragment, [
+        FragmentPacket(1, 1, 100, 0, 0, 3, b"a" * 300),
+        FragmentPacket(1, 1, 100, 300, 1, 3, b"b" * 300)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_impossible_fragments_refused(case):
+    error, (*accepted, last) = REFUSED[case]
+    buf = ReassemblyBuffer()
+    for f in accepted:
+        assert buf.add(f, now=0.0) is None
+    with pytest.raises(error):
+        buf.add(last, now=0.0)
+    assert len(buf) == 0
+    assert buf.stored_bytes == 0
 
 
 # --------------------------------------------------------------- management
