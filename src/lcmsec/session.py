@@ -17,13 +17,13 @@ from . import wire
 from .crypto import (TAG_LEN, KeyMaterial, aead_seal, aead_open, build_iv,
                      ctr_crypt)
 from .errors import (AuthFailure, BadName, CounterExhausted, LcmsecError,
-                     NoKey, NotAuthorized, OversizeMessage, TooShort)
+                     NoKey, NotAuthorized, TooShort)
 from .identity import LCMDomain, PeerCertificate, authorize
 from .wire import (MAGIC_FRAGMENT, MAGIC_PLAIN, MAGIC_SECURE,
-                   MAGIC_MANAGEMENT, MAX_CHANNELNAME, MAX_MESSAGE_BODY,
-                   SECURE_HEADER_LEN, ReassemblyBuffer, SecurePacket,
-                   decode_fragment, decode_secure, encode_fragment,
-                   encode_secure, pack_secure, peek_magic, try_unpack_secure)
+                   MAGIC_MANAGEMENT, MAX_CHANNELNAME, SECURE_HEADER_LEN,
+                   ReassemblyBuffer, SecurePacket, decode_fragment,
+                   decode_secure, encode_fragment, encode_secure, pack_secure,
+                   peek_magic, try_unpack_secure)
 
 DEFAULT_MTU = 1400
 DEFAULT_WINDOW = 1024
@@ -302,10 +302,9 @@ class Session:
         channel_keys = self.keys.channel_keys(channel, now)
         if not channel_keys:
             raise NoKey(f"no key material for channel {channel!r}")
-        if len(payload) + TAG_LEN > MAX_MESSAGE_BODY:
-            # refused before a sequence number is spent on it
-            raise OversizeMessage(f"payload of {len(payload)} bytes; peers "
-                                  f"reassemble at most {MAX_MESSAGE_BODY}")
+        # refused before a sequence number is spent on it; the encrypted
+        # name is as long as the plain one
+        wire.check_sendable(len(name_nul), len(payload) + TAG_LEN, self.mtu)
         k_g, k_ch = group_keys[0], channel_keys[0]
         seqno = self.counter.next()
         enc_name = ctr_crypt(k_g, build_iv(k_g.salt, self.sender_id, seqno),

@@ -25,14 +25,14 @@ MAGIC_PLAIN = 0x4C433032
 #: channel name bound, terminator included
 MAX_CHANNELNAME = 256
 #: largest sealed body (ciphertext and tag) a receiver reassembles; senders
-#: refuse anything bigger
-MAX_MESSAGE_BODY = 1 << 22
+#: refuse anything bigger. A chosen policy, not a figure from the paper:
+#: the 32-bit length field allows 4 GiB, and at a 1400 B MTU the 16-bit
+#: fragment count alone would carry about 86 MiB (65,535 fragments of
+#: 1,378 B). 16 MiB holds a raw 1080p RGB camera frame (6.2 MB) with room to
+#: spare; a larger payload has to be split by the application.
+MAX_MESSAGE_BODY = 1 << 24
 #: reassembly slots alive at once, across all senders
 REASSEMBLY_MAX_SLOTS = 1024
-#: bytes held by reassembly across all senders, each fragment charged its
-#: datagram size; room for the largest message with the most fragments, so a
-#: legit message never has to evict itself
-REASSEMBLY_MAX_BYTES = 1 << 24
 
 _SECURE_HDR = struct.Struct(">IIH")
 _FRAG_HDR = struct.Struct(">IIHIIHH")
@@ -40,6 +40,11 @@ SECURE_HEADER_LEN = _SECURE_HDR.size          # 10
 FRAGMENT_HEADER_LEN = _FRAG_HDR.size          # 22
 #: smallest legal secure tail: one encrypted NUL plus the 16-byte tag
 MIN_SECURE_TAIL = 17
+#: bytes held by reassembly across all senders, each fragment charged its
+#: datagram size: room for four largest messages in flight at once, each in
+#: the most fragments the 16-bit count allows (about 69.5 MiB)
+REASSEMBLY_MAX_BYTES = 4 * (MAX_MESSAGE_BODY + MAX_CHANNELNAME
+                            + 0xFFFF * FRAGMENT_HEADER_LEN)
 
 
 class MsgKind(IntEnum):
@@ -176,30 +181,46 @@ def decode_fragment(data: bytes) -> FragmentPacket:
                           section=data[FRAGMENT_HEADER_LEN:])
 
 
+def check_sendable(name_len: int, body_len: int, mtu: int):
+    """Raise OversizeMessage unless a sealed message with a ``name_len``
+    byte encrypted channel name and a ``body_len`` byte body can go out at
+    ``mtu`` and be reassembled by every receiver.
+
+    Needs only lengths, so a sender can check before it spends a sequence
+    number or seals anything.
+    """
+    if body_len > MAX_MESSAGE_BODY:
+        raise OversizeMessage(f"body of {body_len} bytes; receivers "
+                              f"reassemble at most {MAX_MESSAGE_BODY}")
+    if SECURE_HEADER_LEN + name_len + body_len <= mtu:
+        return
+    cap = mtu - FRAGMENT_HEADER_LEN
+    first_cap = cap - name_len
+    if first_cap < 1:
+        raise OversizeMessage("mtu leaves no room after the channel name")
+    total = 1 + -(-max(0, body_len - first_cap) // cap)
+    if total > 0xFFFF:
+        raise OversizeMessage(f"{total} fragments exceed the 16-bit count")
+
+
 def fragment(enc_channelname: bytes, body: bytes, seqno: int, sender_id: int,
              mtu: int) -> list[SecurePacket | FragmentPacket]:
     """Split one sealed message into datagram-sized packets.
 
     Returns a single SecurePacket when everything fits in ``mtu``, otherwise
     FragmentPackets with maximal chunks. Encryption already happened; this
-    only slices bytes. A body above ``MAX_MESSAGE_BODY`` is refused, since
-    no receiver would reassemble it.
+    only slices bytes. What ``check_sendable`` refuses is refused here too.
     """
-    if len(body) > MAX_MESSAGE_BODY:
-        raise OversizeMessage(f"body of {len(body)} bytes")
+    check_sendable(len(enc_channelname), len(body), mtu)
     if SECURE_HEADER_LEN + len(enc_channelname) + len(body) <= mtu:
         return [SecurePacket(seqno=seqno, sender_id=sender_id,
                              tail=enc_channelname + body)]
     cap = mtu - FRAGMENT_HEADER_LEN
     first_cap = cap - len(enc_channelname)
-    if first_cap < 1:
-        raise OversizeMessage("mtu leaves no room after the channel name")
     bounds = [min(first_cap, len(body))]
     while bounds[-1] < len(body):
         bounds.append(min(bounds[-1] + cap, len(body)))
     total = len(bounds)
-    if total > 0xFFFF:
-        raise OversizeMessage(f"{total} fragments exceed the 16-bit count")
     out: list[SecurePacket | FragmentPacket] = []
     start = 0
     for no, end in enumerate(bounds):
@@ -247,10 +268,10 @@ class ReassemblyBuffer:
     - Across all senders at most ``REASSEMBLY_MAX_SLOTS`` slots live and at
       most ``REASSEMBLY_MAX_BYTES`` are held, each fragment charged its
       datagram size; either cap drops the oldest slots first.
-    - A message declaring a body above ``MAX_MESSAGE_BODY`` is refused
-      before anything is stored, and a fragment that would take its slot's
-      sections past the declared length plus ``MAX_CHANNELNAME`` drops the
-      slot.
+    - A first fragment declaring a body above ``MAX_MESSAGE_BODY``, or
+      carrying more than the declared length plus ``MAX_CHANNELNAME``, is
+      refused before anything is stored or evicted; a later fragment that
+      would take its slot's sections past that length drops the slot.
 
     Expiry assumes ``now`` does not step backwards; if it does, slots only
     expire later than they should, and the caps still bound memory.
@@ -281,10 +302,12 @@ class ReassemblyBuffer:
     def _open(self, key: tuple[int, int], f: FragmentPacket,
               now: float) -> _Slot:
         """New slot for ``f``'s message, after whatever eviction it needs;
-        a declared body no receiver reassembles is refused first."""
+        a fragment no slot could hold is refused first."""
         if f.full_body_length > MAX_MESSAGE_BODY:
             raise OversizeMessage(
                 f"declared body of {f.full_body_length} bytes")
+        if len(f.section) > f.full_body_length + MAX_CHANNELNAME:
+            raise InconsistentFragment("section exceeds declared length")
         slots = self._slots
         while slots:
             oldest, slot = next(iter(slots.items()))

@@ -325,15 +325,22 @@ def test_impossible_fragments_dropped_as_bad_fragment(case):
     assert rx.stats.drops == {"bad_fragment": 1}
 
 
-def test_publish_refuses_what_peers_cannot_reassemble():
-    tx = make_session(mtu=1400)
+# the largest payload on "chatter" (8 B with its NUL) at each mtu: at 1400 B
+# the body limit binds; at 64 B the 16-bit fragment count does, with 34 B in
+# fragment 0 and 42 B in each of the other 65,534
+@pytest.mark.parametrize("mtu, largest_len", [
+    (1400, MAX_MESSAGE_BODY - TAG_LEN),
+    (64, 34 + 0xFFFE * 42 - TAG_LEN),
+])
+def test_publish_refuses_what_peers_cannot_reassemble(mtu, largest_len):
+    tx = make_session(mtu=mtu)
     rx = make_session(sender_id=2)
     with pytest.raises(OversizeMessage):
-        tx.publish("chatter", bytes(MAX_MESSAGE_BODY - TAG_LEN + 1))
+        tx.publish("chatter", bytes(largest_len + 1))
     assert tx.counter.value == 0
     assert tx.stats.published == 0
     # one byte less is the largest message, and it arrives
-    largest = bytes(MAX_MESSAGE_BODY - TAG_LEN)
+    largest = bytes(largest_len)
     out = tx.publish("chatter", largest)
     assert tx.counter.value == 1
     assert [r for r in (rx.receive(d) for d in out) if r is not None] == [

@@ -256,17 +256,21 @@ def test_per_sender_cap():
     assert len(buf) == 5
 
 
-# 1378 B fills a 1400 B datagram, so the slot cap binds; 65,000 B sections
-# make the byte cap bind first
-@pytest.mark.parametrize("section_len", [1400 - FRAGMENT_HEADER_LEN, 65_000])
-def test_forged_first_fragment_flood_is_bounded(section_len):
-    # every forged fragment is a new sender id and message id inside one
+# 1378 B fills a 1400 B datagram, so the slot cap binds; two 60,000 B
+# fragments per message make the byte cap bind first
+@pytest.mark.parametrize("section_len, per_message",
+                         [(1400 - FRAGMENT_HEADER_LEN, 1), (60_000, 2)])
+def test_forged_first_fragment_flood_is_bounded(section_len, per_message):
+    # every forged message is a new sender id and message id inside one
     # timeout, so neither expiry nor the per-sender cap ever applies
     section = random.Random(section_len).randbytes(section_len)
     forged = [FragmentPacket(seqno=n, sender_id=1 + n,
-                             full_body_length=65536, fragment_offset=0,
-                             fragment_no=0, fragments_total=48,
-                             section=section) for n in range(50_000)]
+                             full_body_length=1 << 20,
+                             fragment_offset=no * section_len,
+                             fragment_no=no, fragments_total=48,
+                             section=section)
+              for n in range(50_000 // per_message)
+              for no in range(per_message)]
     buf = ReassemblyBuffer()
     peak_slots = peak_bytes = 0
     t0 = time.perf_counter()
@@ -277,10 +281,13 @@ def test_forged_first_fragment_flood_is_bounded(section_len):
     assert time.perf_counter() - t0 < 1.0
     assert peak_slots <= REASSEMBLY_MAX_SLOTS
     assert peak_bytes <= REASSEMBLY_MAX_BYTES
-    # the flood saturated one of the caps
-    assert (peak_slots == REASSEMBLY_MAX_SLOTS
-            or peak_bytes > REASSEMBLY_MAX_BYTES - section_len
-            - FRAGMENT_HEADER_LEN)
+    # the flood saturated the cap it was sized for
+    if per_message == 1:
+        assert peak_slots == REASSEMBLY_MAX_SLOTS
+    else:
+        assert peak_slots < REASSEMBLY_MAX_SLOTS
+        assert peak_bytes > (REASSEMBLY_MAX_BYTES - section_len
+                             - FRAGMENT_HEADER_LEN)
     legit = fragment(b"n\x00", b"y" * 3000, seqno=7, sender_id=60_000,
                      mtu=1400)
     assert len(legit) == 3
@@ -321,6 +328,8 @@ class ScanningReassembly:
         if slot is None:
             if f.full_body_length > wire.MAX_MESSAGE_BODY:
                 raise OversizeMessage("declared body")
+            if len(f.section) > f.full_body_length + MAX_CHANNELNAME:
+                raise InconsistentFragment("rejected")
             self.slots = [s for s in self.slots
                           if now - s[1] <= self.timeout]
             mine = [s for s in self.slots if s[0][0] == f.sender_id]
@@ -366,7 +375,7 @@ _legit_or_forged = st.one_of(
     st.tuples(st.just("legit"), st.integers(0, 7)),
     # few distinct totals, so forged fragments often share a slot
     st.tuples(st.just("forged"), st.sampled_from([100, 250, 301]),
-              st.sampled_from([1, 3]), st.integers(0, 200)))
+              st.sampled_from([1, 3]), st.integers(0, 400)))
 
 
 @given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3),
@@ -382,7 +391,7 @@ _legit_or_forged = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_reassembly_matches_scanning_reference(ops):
     # caps small enough that a short run reaches each of them; the byte cap
-    # still holds any one slot (at most 556 section bytes in 3 fragments).
+    # still holds any one slot (at most 557 section bytes in 3 fragments).
     # Steps of 0.5 s add up exactly, so arrivals land on the timeout too.
     with mock.patch.multiple(wire, REASSEMBLY_MAX_SLOTS=4,
                              REASSEMBLY_MAX_BYTES=700, MAX_MESSAGE_BODY=300):
@@ -405,11 +414,34 @@ def test_reassembly_matches_scanning_reference(ops):
             assert buf.stored_bytes == ref.stored()
 
 
-def test_largest_message_fits_the_byte_budget():
-    # a legit slot never has to evict itself: the largest body, cut into
-    # the most fragments the 16-bit count allows, stays within the budget
-    assert (MAX_MESSAGE_BODY + MAX_CHANNELNAME
-            + 0xFFFF * FRAGMENT_HEADER_LEN) <= REASSEMBLY_MAX_BYTES
+def test_byte_budget_holds_four_largest_messages():
+    # the largest body, cut into the most fragments the 16-bit count
+    # allows, fits four times over, so a legit slot never evicts itself
+    largest = MAX_MESSAGE_BODY + MAX_CHANNELNAME + 0xFFFF * FRAGMENT_HEADER_LEN
+    assert 4 * largest <= REASSEMBLY_MAX_BYTES
+
+
+def test_four_publishers_complete_largest_messages_concurrently():
+    # mtu 279 cuts the largest body into 65,282 fragments, near the 16-bit
+    # limit, so the header charges are near their worst case too
+    body = random.Random(4).randbytes(MAX_MESSAGE_BODY)
+    frags = fragment(b"n\x00", body, seqno=1, sender_id=0, mtu=279)
+    assert 65_000 < len(frags) <= 0xFFFF
+    buf = ReassemblyBuffer()
+    done = {}
+    # round robin, so all four are in flight until their last fragments;
+    # the publishers share chunks and differ in the encrypted name
+    for f in frags:
+        for sender in range(1, 5):
+            section = (bytes([sender, 0]) + f.section[2:] if f.fragment_no == 0
+                       else f.section)
+            out = buf.add(f._replace(sender_id=sender, section=section),
+                          now=0.0)
+            if out is not None:
+                done[sender] = out
+    assert sorted(done) == [1, 2, 3, 4]
+    assert all(done[s] == (bytes([s, 0]), body) for s in done)
+    assert len(buf) == 0 and buf.stored_bytes == 0
 
 
 REFUSED = {
@@ -431,13 +463,21 @@ REFUSED = {
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_impossible_fragments_refused(case):
     error, (*accepted, last) = REFUSED[case]
-    buf = ReassemblyBuffer()
-    for f in accepted:
-        assert buf.add(f, now=0.0) is None
-    with pytest.raises(error):
-        buf.add(last, now=0.0)
-    assert len(buf) == 0
-    assert buf.stored_bytes == 0
+    held = fragment(b"n\x00", b"h" * 3000, seqno=9, sender_id=9, mtu=1400)
+    # the held slot and one slot per accepted fragment fill the slot cap,
+    # so a refused fragment that opened a slot would evict the held one
+    with mock.patch.object(wire, "REASSEMBLY_MAX_SLOTS", 1 + len(accepted)):
+        buf = ReassemblyBuffer()
+        assert buf.add(held[0], now=0.0) is None
+        held_bytes = buf.stored_bytes
+        for f in accepted:
+            assert buf.add(f, now=0.0) is None
+        with pytest.raises(error):
+            buf.add(last, now=0.0)
+        assert len(buf) == 1
+        assert buf.stored_bytes == held_bytes
+        assert [buf.add(p, now=0.0) for p in held[1:]] == [
+            None, (b"n\x00", b"h" * 3000)]
 
 
 # --------------------------------------------------------------- management
