@@ -20,7 +20,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .ecgroup import P256
-from .errors import AuthFailure, IvReuse, TooShort
+from .errors import AuthFailure, TooShort
 
 KEY_LEN = 16
 SALT_BITS = 16
@@ -90,34 +90,12 @@ def build_iv(salt: int, sender_id: int, msg_seqno: int) -> bytes:
     return struct.pack(">HHII", salt, sender_id, msg_seqno, 0)
 
 
-class IvLog:
-    """Debug-only reuse detector: remembers the last ``limit`` IVs per key."""
-
-    def __init__(self, limit: int = 1 << 20):
-        self.limit = limit
-        self._seen: dict[bytes, set] = {}
-        self._order: dict[bytes, list] = {}
-
-    def check(self, key: bytes, iv: bytes) -> None:
-        seen = self._seen.setdefault(key, set())
-        if iv in seen:
-            raise IvReuse(f"IV repeated under one key: {iv.hex()}")
-        order = self._order.setdefault(key, [])
-        seen.add(iv)
-        order.append(iv)
-        if len(order) > self.limit:
-            seen.discard(order.pop(0))
-
-
 def aead_seal(material: KeyMaterial, iv: bytes, plaintext: bytes,
-              aad: bytes, iv_log: IvLog | None = None) -> bytes:
+              aad: bytes) -> bytes:
     """AES-128-GCM: returns ciphertext followed by the 16-byte tag.
 
-    The caller guarantees IV uniqueness per key; ``iv_log`` is an optional
-    debug tripwire for that contract.
+    The caller guarantees IV uniqueness per key.
     """
-    if iv_log is not None:
-        iv_log.check(material.key, iv)
     return _aesgcm(material.key).encrypt(iv, plaintext, aad)
 
 
@@ -159,11 +137,6 @@ def ctr_crypt(material: KeyMaterial, iv: bytes, data: bytes) -> bytes:
     on the first n input bytes, so a receiver can decrypt a prefix bytewise.
     """
     return ctr_xor(material.key, iv + b"\x00\x00\x00\x00", data)
-
-
-def ctr_keystream(material: KeyMaterial, iv: bytes, length: int) -> bytes:
-    """Leading ``length`` keystream bytes for incremental prefix decryption."""
-    return ctr_crypt(material, iv, b"\x00" * length)
 
 
 def hkdf_bytes(seed: bytes, context: bytes, length: int) -> bytes:

@@ -1,13 +1,24 @@
-"""Prime-order elliptic-curve group used by the key agreement.
+"""The P-256 group used by the key agreement.
 
 The agreement needs genuine group arithmetic on arbitrary points (add two
-received points, negate one, raise one to an ephemeral scalar), which the
-usual ECDH APIs do not expose, so the short-Weierstrass arithmetic lives
-here. The default curve is NIST P-256: prime order, cofactor 1, and the same
-curve the certificate signatures use.
+received points, negate one, raise one to an ephemeral scalar). Scalar
+multiplication and point decoding run in OpenSSL through ``cryptography``:
 
-Elements are affine ``(x, y)`` tuples with ``None`` for the identity; scalar
-multiplication runs in Jacobian coordinates to avoid per-step inversions.
+- ``k·G`` is the public key of the private key ``k``;
+- ``k·Z`` for any other point is an ECDH exchange, which yields only the
+  x-coordinate. OpenSSL's point decompression gives the two candidate
+  y-coordinates, and a second exchange against ``Z + G`` picks the one that
+  is consistent with ``k·Z + k·G``;
+- decoding a SEC1 point is OpenSSL's ``from_encoded_point``, which checks
+  the range and the curve equation.
+
+So no Python code branches on the bits of a secret scalar. What stays in
+Python is the affine addition and negation that the round-2 fold needs, the
+sign test above, and the encoding; these handle derived points that are
+secret too, and are not constant-time. The curve is NIST P-256: prime
+order, cofactor 1, and the same curve the certificate signatures use.
+
+Elements are affine ``(x, y)`` tuples with ``None`` for the identity.
 Serialization is SEC1 compressed (33 bytes), with the single byte ``0x00``
 for the identity.
 """
@@ -16,6 +27,8 @@ from __future__ import annotations
 
 import secrets
 from typing import Optional, Tuple
+
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from .errors import InvalidElement
 
@@ -32,32 +45,33 @@ P256_GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 IDENTITY_BYTES = b"\x00"
 ELEMENT_LEN = 33
 
+_CURVE = ec.SECP256R1()
+_ECDH = ec.ECDH()
 
-class PrimeOrderGroup:
-    """Group operations over a prime-order short-Weierstrass curve.
+
+def _public_key(pt: Tuple[int, int]) -> ec.EllipticCurvePublicKey:
+    x, y = pt
+    return ec.EllipticCurvePublicKey.from_encoded_point(
+        _CURVE, b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big"))
+
+
+def _affine(key: ec.EllipticCurvePublicKey) -> Tuple[int, int]:
+    nums = key.public_numbers()
+    return (nums.x, nums.y)
+
+
+class P256Group:
+    """Group operations on P-256.
 
     Multiplicative naming follows the key-agreement literature: ``exp`` is
     scalar multiplication, ``op`` point addition, ``inv`` negation.
     """
 
-    def __init__(self, p: int, a: int, b: int, order: int, gx: int, gy: int):
-        self.p = p
-        self.a = a
-        self.b = b
-        self.order = order
-        self.generator: Point = (gx, gy)
-        if not self.is_on_curve(self.generator):
-            raise ValueError("generator not on curve")
-
-    # -- predicates ----------------------------------------------------
-
-    def is_on_curve(self, pt: Point) -> bool:
-        if pt is None:
-            return True
-        x, y = pt
-        if not (0 <= x < self.p and 0 <= y < self.p):
-            return False
-        return (y * y - (x * x * x + self.a * x + self.b)) % self.p == 0
+    p = P256_P
+    a = P256_A
+    b = P256_B
+    order = P256_ORDER
+    generator: Point = (P256_GX, P256_GY)
 
     # -- affine arithmetic ---------------------------------------------
 
@@ -95,60 +109,26 @@ class PrimeOrderGroup:
         scalar %= self.order
         if base is None or scalar == 0:
             return None
-        return self._jacobian_mult(base, scalar)
-
-    def _jacobian_mult(self, base: Tuple[int, int], k: int) -> Point:
+        key = ec.derive_private_key(scalar, _CURVE)
+        kg = _affine(key.public_key())
+        if base == self.generator:
+            return kg
+        shifted = self.op(base, self.generator)
+        if shifted is None:             # base = -G
+            return self.inv(kg)
+        x_raw = key.exchange(_ECDH, _public_key(base))
+        x, y = _affine(ec.EllipticCurvePublicKey.from_encoded_point(
+            _CURVE, b"\x02" + x_raw))
+        # k·base = (x, ±y) and k·(base + G) = k·base + k·G. The addition
+        # law says x(P + Q) = λ² - x_P - x_Q with λ = (y_Q - y_P)/(x_Q - x_P),
+        # which holds for exactly one of ±y (the group has no 2-torsion).
+        # x ≠ x(k·G), since base ≠ ±G and k ≠ 0.
+        x2 = int.from_bytes(key.exchange(_ECDH, _public_key(shifted)), "big")
         p = self.p
-        # (X, Y, Z) with x = X/Z^2, y = Y/Z^3
-        rx, ry, rz = 0, 1, 0  # identity
-        qx, qy, qz = base[0], base[1], 1
-        for bit in bin(k)[2:]:
-            rx, ry, rz = self._jac_double(rx, ry, rz, p)
-            if bit == "1":
-                rx, ry, rz = self._jac_add(rx, ry, rz, qx, qy, qz, p)
-        if rz == 0:
-            return None
-        zinv = pow(rz, -1, p)
-        zinv2 = zinv * zinv % p
-        return (rx * zinv2 % p, ry * zinv2 * zinv % p)
-
-    def _jac_double(self, x, y, z, p):
-        if z == 0 or y == 0:
-            return (0, 1, 0)
-        # a = -3 shortcut: alpha = 3(x - z^2)(x + z^2)
-        delta = z * z % p
-        gamma = y * y % p
-        beta = x * gamma % p
-        alpha = 3 * (x - delta) * (x + delta) % p
-        x3 = (alpha * alpha - 8 * beta) % p
-        z3 = ((y + z) * (y + z) - gamma - delta) % p
-        y3 = (alpha * (4 * beta - x3) - 8 * gamma * gamma) % p
-        return (x3, y3, z3)
-
-    def _jac_add(self, x1, y1, z1, x2, y2, z2, p):
-        if z1 == 0:
-            return (x2, y2, z2)
-        if z2 == 0:
-            return (x1, y1, z1)
-        z1z1 = z1 * z1 % p
-        z2z2 = z2 * z2 % p
-        u1 = x1 * z2z2 % p
-        u2 = x2 * z1z1 % p
-        s1 = y1 * z2 * z2z2 % p
-        s2 = y2 * z1 * z1z1 % p
-        if u1 == u2:
-            if s1 != s2:
-                return (0, 1, 0)
-            return self._jac_double(x1, y1, z1, p)
-        h = (u2 - u1) % p
-        i = 4 * h * h % p
-        j = h * i % p
-        r = 2 * (s2 - s1) % p
-        v = u1 * i % p
-        x3 = (r * r - j - 2 * v) % p
-        y3 = (r * (v - x3) - 2 * s1 * j) % p
-        z3 = ((z1 + z2) * (z1 + z2) - z1z1 - z2z2) % p * h % p
-        return (x3, y3, z3)
+        gx, gy = kg
+        if (x2 + x + gx) * (gx - x) ** 2 % p != (gy - y) ** 2 % p:
+            y = p - y
+        return (x, y)
 
     # -- scalars ---------------------------------------------------------
 
@@ -183,22 +163,17 @@ class PrimeOrderGroup:
         return prefix + x.to_bytes(32, "big")
 
     def deserialize(self, data: bytes) -> Point:
+        """Inverse of :meth:`serialize`; OpenSSL refuses an x at or above p
+        and an x with no point on the curve."""
         if data == IDENTITY_BYTES:
             return None
         if len(data) != ELEMENT_LEN or data[0] not in (2, 3):
             raise InvalidElement("bad element encoding")
-        p = self.p
-        x = int.from_bytes(data[1:], "big")
-        if x >= p:
-            raise InvalidElement("x out of range")
-        rhs = (x * x * x + self.a * x + self.b) % p
-        # p = 3 mod 4, so the square root (if any) is rhs^((p+1)/4)
-        y = pow(rhs, (p + 1) // 4, p)
-        if y * y % p != rhs:
-            raise InvalidElement("point not on curve")
-        if (y & 1) != (data[0] & 1):
-            y = p - y
-        return (x, y)
+        try:
+            key = ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, data)
+        except ValueError:
+            raise InvalidElement("not a point on the curve")
+        return _affine(key)
 
 
-P256 = PrimeOrderGroup(P256_P, P256_A, P256_B, P256_ORDER, P256_GX, P256_GY)
+P256 = P256Group()

@@ -39,10 +39,6 @@ class TooShort(LcmsecError):
     """Ciphertext shorter than the authentication tag."""
 
 
-class IvReuse(LcmsecError):
-    """Same IV sealed twice under one key (debug tracking only)."""
-
-
 class InvalidElement(LcmsecError):
     """Serialized group element is malformed or not on the curve."""
 

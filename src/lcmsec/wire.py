@@ -40,11 +40,17 @@ SECURE_HEADER_LEN = _SECURE_HDR.size          # 10
 FRAGMENT_HEADER_LEN = _FRAG_HDR.size          # 22
 #: smallest legal secure tail: one encrypted NUL plus the 16-byte tag
 MIN_SECURE_TAIL = 17
+#: bytes reassembly charges per stored fragment besides its section: what
+#: CPython keeps for it (the parts-dict entry, the (offset, section) tuple,
+#: two ints and the section's object header), about 186 B by tracemalloc
+#: on CPython 3.11 with 2 B sections
+FRAGMENT_OVERHEAD = 192
 #: bytes held by reassembly across all senders, each fragment charged its
-#: datagram size: room for four largest messages in flight at once, each in
-#: the most fragments the 16-bit count allows (about 69.5 MiB)
+#: section plus ``FRAGMENT_OVERHEAD``: room for four largest messages in
+#: flight at once, each in the most fragments the 16-bit count allows
+#: (about 112 MiB)
 REASSEMBLY_MAX_BYTES = 4 * (MAX_MESSAGE_BODY + MAX_CHANNELNAME
-                            + 0xFFFF * FRAGMENT_HEADER_LEN)
+                            + 0xFFFF * FRAGMENT_OVERHEAD)
 
 
 class MsgKind(IntEnum):
@@ -250,7 +256,7 @@ class _Slot:
     @property
     def stored(self) -> int:
         """What the slot is charged against ``REASSEMBLY_MAX_BYTES``."""
-        return self.section_bytes + FRAGMENT_HEADER_LEN * len(self.parts)
+        return self.section_bytes + FRAGMENT_OVERHEAD * len(self.parts)
 
 
 class ReassemblyBuffer:
@@ -267,7 +273,8 @@ class ReassemblyBuffer:
       drops that sender's oldest.
     - Across all senders at most ``REASSEMBLY_MAX_SLOTS`` slots live and at
       most ``REASSEMBLY_MAX_BYTES`` are held, each fragment charged its
-      datagram size; either cap drops the oldest slots first.
+      section plus ``FRAGMENT_OVERHEAD``; either cap drops the oldest slots
+      first.
     - A first fragment declaring a body above ``MAX_MESSAGE_BODY``, or
       carrying more than the declared length plus ``MAX_CHANNELNAME``, is
       refused before anything is stored or evicted; a later fragment that
@@ -355,7 +362,7 @@ class ReassemblyBuffer:
         if section_bytes > slot.full_len + MAX_CHANNELNAME:
             self._drop(key)
             raise InconsistentFragment("sections exceed declared length")
-        charge = FRAGMENT_HEADER_LEN + len(f.section)
+        charge = FRAGMENT_OVERHEAD + len(f.section)
         self._make_room(key, charge)
         slot.parts[f.fragment_no] = (f.fragment_offset, f.section)
         slot.section_bytes = section_bytes

@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmsec import crypto
-from lcmsec.crypto import (IvLog, KeyMaterial, aead_open, aead_seal, build_iv,
-                           ctr_crypt, ctr_keystream, ctr_xor,
-                           derive_join_scalar, hkdf_bytes, kdf_expand,
-                           key_context, sign, verify)
+from lcmsec.crypto import (KeyMaterial, aead_open, aead_seal, build_iv,
+                           ctr_crypt, ctr_xor, derive_join_scalar,
+                           hkdf_bytes, kdf_expand, key_context, sign, verify)
 from lcmsec.ecgroup import P256_ORDER
-from lcmsec.errors import AuthFailure, IvReuse, TooShort
+from lcmsec.errors import AuthFailure, TooShort
+
+from ivlog import IvLog, IvReuse
 
 # ------------------------------------------------------------ known answers
 
@@ -141,15 +142,16 @@ def test_aead_too_short():
 def test_iv_log_trips_on_reuse():
     log = IvLog(limit=4)
     km = material(b"k" * 16)
-    aead_seal(km, build_iv(0, 0, 0), b"", b"", iv_log=log)
+    sealed = log.seal(km, build_iv(0, 0, 0), b"", b"")
+    assert sealed == aead_seal(km, build_iv(0, 0, 0), b"", b"")
     with pytest.raises(IvReuse):
-        aead_seal(km, build_iv(0, 0, 0), b"", b"", iv_log=log)
+        log.seal(km, build_iv(0, 0, 0), b"", b"")
     # different key, same IV: fine
-    aead_seal(material(b"K" * 16), build_iv(0, 0, 0), b"", b"", iv_log=log)
+    log.seal(material(b"K" * 16), build_iv(0, 0, 0), b"", b"")
     # bounded memory: old entries are forgotten
     for i in range(1, 6):
-        aead_seal(km, build_iv(0, 0, i), b"", b"", iv_log=log)
-    aead_seal(km, build_iv(0, 0, 1), b"", b"", iv_log=log)
+        log.seal(km, build_iv(0, 0, i), b"", b"")
+    log.seal(km, build_iv(0, 0, 1), b"", b"")
 
 
 # ----------------------------------------------------------------- CTR shape
@@ -173,6 +175,11 @@ def test_ctr_prefix_property():
     for n in range(len(full)):
         assert ctr_crypt(km, iv, full[:n]) == \
             b"channel_name\x00trailing payload bytes"[:n]
+
+
+def ctr_keystream(material: KeyMaterial, iv: bytes, length: int) -> bytes:
+    """Leading ``length`` keystream bytes, for incremental prefix decryption."""
+    return ctr_crypt(material, iv, b"\x00" * length)
 
 
 def test_ctr_keystream_matches_crypt():

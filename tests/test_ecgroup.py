@@ -1,8 +1,10 @@
 """Group-law and encoding tests for the P-256 wrapper.
 
-Scalar multiplication is cross-checked against the OpenSSL-backed
-``cryptography`` package by two independent routes: fixed-base results against
-public-key derivation, and arbitrary-base results against an ECDH exchange.
+``P256.exp`` and ``P256.deserialize`` run in OpenSSL, so the independent
+oracle here is pure Python: a Jacobian double-and-add ladder and the
+square-root decode (p = 3 mod 4). Fixed-base results are also checked
+against public-key derivation, and arbitrary-base x-coordinates against a
+plain ECDH exchange.
 """
 
 from __future__ import annotations
@@ -19,6 +21,89 @@ from lcmsec.ecgroup import (ELEMENT_LEN, IDENTITY_BYTES, P256, P256_GX,
 from lcmsec.errors import InvalidElement
 
 scalars = st.integers(min_value=1, max_value=P256_ORDER - 1)
+P = P256.p
+
+
+# ------------------------------------------------------ pure-Python oracle
+
+
+def _jac_double(x, y, z):
+    if z == 0 or y == 0:
+        return (0, 1, 0)
+    # a = -3 shortcut: alpha = 3(x - z^2)(x + z^2)
+    delta = z * z % P
+    gamma = y * y % P
+    beta = x * gamma % P
+    alpha = 3 * (x - delta) * (x + delta) % P
+    x3 = (alpha * alpha - 8 * beta) % P
+    z3 = ((y + z) * (y + z) - gamma - delta) % P
+    y3 = (alpha * (4 * beta - x3) - 8 * gamma * gamma) % P
+    return (x3, y3, z3)
+
+
+def _jac_add(x1, y1, z1, x2, y2, z2):
+    if z1 == 0:
+        return (x2, y2, z2)
+    if z2 == 0:
+        return (x1, y1, z1)
+    z1z1 = z1 * z1 % P
+    z2z2 = z2 * z2 % P
+    u1 = x1 * z2z2 % P
+    u2 = x2 * z1z1 % P
+    s1 = y1 * z2 * z2z2 % P
+    s2 = y2 * z1 * z1z1 % P
+    if u1 == u2:
+        if s1 != s2:
+            return (0, 1, 0)
+        return _jac_double(x1, y1, z1)
+    h = (u2 - u1) % P
+    i = 4 * h * h % P
+    j = h * i % P
+    r = 2 * (s2 - s1) % P
+    v = u1 * i % P
+    x3 = (r * r - j - 2 * v) % P
+    y3 = (r * (v - x3) - 2 * s1 * j) % P
+    z3 = ((z1 + z2) * (z1 + z2) - z1z1 - z2z2) % P * h % P
+    return (x3, y3, z3)
+
+
+def ladder_exp(base, scalar):
+    """Scalar multiplication by double-and-add in Jacobian coordinates
+    (x = X/Z^2, y = Y/Z^3): the oracle for ``P256.exp``."""
+    scalar %= P256_ORDER
+    if base is None or scalar == 0:
+        return None
+    rx, ry, rz = 0, 1, 0  # identity
+    for bit in bin(scalar)[2:]:
+        rx, ry, rz = _jac_double(rx, ry, rz)
+        if bit == "1":
+            rx, ry, rz = _jac_add(rx, ry, rz, base[0], base[1], 1)
+    if rz == 0:
+        return None
+    zinv = pow(rz, -1, P)
+    zinv2 = zinv * zinv % P
+    return (rx * zinv2 % P, ry * zinv2 * zinv % P)
+
+
+def sqrt_decode(data: bytes):
+    """SEC1 compressed decode by the modular square root: the oracle for
+    ``P256.deserialize``. Returns None where no point exists."""
+    x = int.from_bytes(data[1:], "big")
+    if x >= P:
+        return None
+    rhs = (x * x * x + P256.a * x + P256.b) % P
+    y = pow(rhs, (P + 1) // 4, P)
+    if y * y % P != rhs:
+        return None
+    if (y & 1) != (data[0] & 1):
+        y = P - y
+    return (x, y)
+
+
+def non_residue_xs():
+    """x in [2, 50) with no point on the curve."""
+    return [x for x in range(2, 50)
+            if pow((pow(x, 3, P) - 3 * x + P256.b) % P, (P - 1) // 2, P) != 1]
 
 
 def random_element(rng: random.Random):
@@ -98,11 +183,47 @@ def test_arbitrary_base_matches_ecdh():
         assert ours[0] == int.from_bytes(shared, "big")
 
 
+# ------------------------------------------ cross-check with the Python ladder
+
+
+@given(scalars, st.integers(min_value=0, max_value=2 * P256_ORDER))
+@settings(max_examples=200, deadline=None)
+def test_exp_matches_ladder(a, k):
+    # the base comes from the ladder too, so no OpenSSL result feeds it
+    base = ladder_exp(P256.generator, a)
+    assert P256.exp(base, k) == ladder_exp(base, k)
+
+
+G = (P256_GX, P256_GY)
+ARBITRARY = ladder_exp(G, 0x5EED_1234_ABCD)
+
+
+@pytest.mark.parametrize("base", [
+    G, P256.inv(G), ladder_exp(G, 2), ARBITRARY, None],
+    ids=["G", "-G", "2G", "Z", "identity"])
+@pytest.mark.parametrize("scalar", [
+    1, 2, 3, 0xDEADBEEF, P256_ORDER - 2, P256_ORDER - 1, P256_ORDER,
+    P256_ORDER + 1, 0], ids=["1", "2", "3", "deadbeef", "n-2", "n-1", "n",
+                             "n+1", "0"])
+def test_exp_edge_bases_and_scalars(base, scalar):
+    assert P256.exp(base, scalar) == ladder_exp(base, scalar)
+
+
+def test_exp_on_minus_g_is_minus_kg():
+    # base + G is the identity here, so the sign test has nothing to
+    # exchange against
+    for k in (1, 2, 0xC0FFEE, P256_ORDER - 1):
+        assert P256.exp(P256.inv(G), k) == P256.inv(ladder_exp(G, k))
+
+
 # ------------------------------------------------------------------ encoding
 
 
 def test_generator_constants_on_curve():
-    assert P256.is_on_curve((P256_GX, P256_GY))
+    x, y = P256_GX, P256_GY
+    assert 0 <= x < P and 0 <= y < P
+    assert (y * y - (x * x * x + P256.a * x + P256.b)) % P == 0
+    assert P256.generator == (x, y)
 
 
 @given(scalars)
@@ -134,15 +255,59 @@ def test_deserialize_rejects_malformed(blob):
 
 def test_deserialize_rejects_off_curve():
     # x = 5 has no square root of x^3 - 3x + b mod p on P-256
-    candidates = []
-    for x in range(2, 50):
-        rhs = (pow(x, 3, P256.p) - 3 * x + P256.b) % P256.p
-        if pow(rhs, (P256.p - 1) // 2, P256.p) != 1:
-            candidates.append(x)
+    candidates = non_residue_xs()
     assert candidates, "expected at least one non-residue in range"
     blob = bytes([2]) + candidates[0].to_bytes(32, "big")
     with pytest.raises(InvalidElement):
         P256.deserialize(blob)
+
+
+def _first_valid_x_above_p():
+    # x = p + d encodes the same residue as d; a decoder that reduced x
+    # mod p would accept it
+    for d in range(1000):
+        if sqrt_decode(bytes([2]) + d.to_bytes(32, "big")) is not None:
+            return P + d
+    raise AssertionError("no valid x below 1000")
+
+
+@pytest.mark.parametrize("x", [P, _first_valid_x_above_p(), (1 << 256) - 1])
+@pytest.mark.parametrize("prefix", [2, 3])
+def test_deserialize_refuses_x_at_or_above_p(x, prefix):
+    with pytest.raises(InvalidElement):
+        P256.deserialize(bytes([prefix]) + x.to_bytes(32, "big"))
+
+
+@pytest.mark.parametrize("prefix", [2, 3])
+def test_deserialize_refuses_x_without_square_root(prefix):
+    for x in non_residue_xs():
+        with pytest.raises(InvalidElement):
+            P256.deserialize(bytes([prefix]) + x.to_bytes(32, "big"))
+
+
+@pytest.mark.parametrize("blob", [
+    b"\x01" + P256_GX.to_bytes(32, "big"),      # not a SEC1 prefix
+    b"\x04" + P256_GX.to_bytes(32, "big"),      # uncompressed prefix, short
+    b"\x04" + P256_GX.to_bytes(32, "big") + P256_GY.to_bytes(32, "big"),
+    b"\x02",
+    b"\x02" + P256_GX.to_bytes(32, "big")[1:],  # 32 bytes
+    b"\x02" + P256_GX.to_bytes(32, "big") + b"\x00",
+    b"\x00\x00",                                 # identity with trailing byte
+])
+def test_deserialize_refuses_bad_prefix_and_length(blob):
+    with pytest.raises(InvalidElement):
+        P256.deserialize(blob)
+
+
+@given(scalars)
+@settings(max_examples=50, deadline=None)
+def test_deserialize_matches_square_root_decode(a):
+    x, _ = ladder_exp(P256.generator, a)
+    for prefix in (2, 3):
+        blob = bytes([prefix]) + x.to_bytes(32, "big")
+        decoded = P256.deserialize(blob)
+        assert decoded == sqrt_decode(blob)
+        assert decoded[1] & 1 == prefix & 1
 
 
 def test_scalar_from_bytes_range_and_determinism():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -319,7 +321,7 @@ class ScanningReassembly:
         self.slots = []     # [key, first_seen, full_len, total, parts]
 
     def stored(self) -> int:
-        return sum(FRAGMENT_HEADER_LEN + len(section)
+        return sum(wire.FRAGMENT_OVERHEAD + len(section)
                    for slot in self.slots for _, section in slot[4].values())
 
     def add(self, f: FragmentPacket, now: float):
@@ -352,7 +354,7 @@ class ScanningReassembly:
             raise InconsistentFragment("rejected")
         if prior is not None:
             return None
-        while (self.stored() + FRAGMENT_HEADER_LEN + len(f.section)
+        while (self.stored() + wire.FRAGMENT_OVERHEAD + len(f.section)
                > wire.REASSEMBLY_MAX_BYTES):
             self.slots.remove(next(s for s in self.slots if s is not slot))
         parts[f.fragment_no] = (f.fragment_offset, f.section)
@@ -391,10 +393,12 @@ _legit_or_forged = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_reassembly_matches_scanning_reference(ops):
     # caps small enough that a short run reaches each of them; the byte cap
-    # still holds any one slot (at most 557 section bytes in 3 fragments).
-    # Steps of 0.5 s add up exactly, so arrivals land on the timeout too.
+    # still holds any one slot (at most 557 section bytes in 3 fragments,
+    # each charged the overhead, patched to 22 B). Steps of 0.5 s add up
+    # exactly, so arrivals land on the timeout too.
     with mock.patch.multiple(wire, REASSEMBLY_MAX_SLOTS=4,
-                             REASSEMBLY_MAX_BYTES=700, MAX_MESSAGE_BODY=300):
+                             REASSEMBLY_MAX_BYTES=700, MAX_MESSAGE_BODY=300,
+                             FRAGMENT_OVERHEAD=22):
         buf = ReassemblyBuffer(timeout=5.0, per_sender=2)
         ref = ScanningReassembly(timeout=5.0, per_sender=2)
         now = 0.0
@@ -442,6 +446,31 @@ def test_four_publishers_complete_largest_messages_concurrently():
     assert sorted(done) == [1, 2, 3, 4]
     assert all(done[s] == (bytes([s, 0]), body) for s in done)
     assert len(buf) == 0 and buf.stored_bytes == 0
+
+
+def test_charged_bytes_cover_what_tiny_fragments_really_hold():
+    # the cheapest fragments to send are the ones whose bookkeeping most
+    # outweighs their sections; every object is built inside the traced
+    # region, as decode_fragment builds it from a datagram
+    n, per_message = 80_000, 40_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        buf = ReassemblyBuffer()
+        for seqno in range(n // per_message):
+            for no in range(per_message):
+                buf.add(FragmentPacket(
+                    seqno=seqno, sender_id=1,
+                    full_body_length=2 * per_message + 2,
+                    fragment_offset=2 * no, fragment_no=no,
+                    fragments_total=per_message + 1,
+                    section=no.to_bytes(2, "big")), now=0.0)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.5 * buf.stored_bytes
+    assert buf.stored_bytes == n * (wire.FRAGMENT_OVERHEAD + 2)
 
 
 REFUSED = {
