@@ -11,6 +11,13 @@ Each agreement run gets a fresh instance id: one more than the highest id
 this node has attempted, completed, or seen advertised. Responses gossip the
 floor, and verified agreement traffic with a newer id pulls stragglers
 forward, so replayed runs can never be mistaken for current ones.
+
+The driver is the node's only signature check for control traffic, and it
+checks only messages that could change something. Every cheap check runs
+first; a message that would leave the view, the instance floor and any
+running agreement as they are is dropped as ``no_news`` unverified. An
+unverified message never changes state, raises a floor, triggers help or
+draws from the RNG.
 """
 
 from __future__ import annotations
@@ -23,8 +30,7 @@ from hashlib import sha256
 from .errors import (Expired, MalformedUrn, NotAuthorized, NonCanonical,
                      StaleInstance, Truncated)
 from .gka import (GkaPhase, GkaSession, InstanceLedger, JoinMode,
-                  KeyAgreeMode, LocalIdentity, RingConfig, build_join_ring,
-                  verify_envelope)
+                  KeyAgreeMode, LocalIdentity, RingConfig, build_join_ring)
 from .identity import LCMDomain, PeerCertificate, authorize, verify_chain
 from .wire import (ManagementEnvelope, MsgKind, encode_join_payload,
                    encode_join_response_payload, parse_gka_payload,
@@ -110,6 +116,11 @@ class CommitResult:
     sender_ids: dict[int, int]
 
 
+def verify_envelope(env: ManagementEnvelope, cert: PeerCertificate) -> bool:
+    region = signed_region(env.kind, env.group, env.channel, env.payload)
+    return crypto.verify(region, env.signature, cert.public_key())
+
+
 def assign_sender_ids(uids) -> dict[int, int]:
     """Rank+1 in ascending uid order; identical on every node given equal D."""
     return {uid: rank + 1 for rank, uid in enumerate(sorted(uids))}
@@ -140,6 +151,11 @@ class DiscoveryDriver:
 
         self._pending: dict[int, tuple[int, PeerCertificate]] = {}   # M
         self._known: dict[bytes, tuple[int, PeerCertificate]] = {}
+        #: fingerprints that chain to a root but lack the grant; only the
+        #: CA can mint those, so the set is as bounded as its issuance
+        self._refused: set[bytes] = set()
+        #: uid -> (signature, payload) of the last JOIN verified from it
+        self._join_memo: dict[int, tuple[bytes, bytes]] = {}
         self._session: GkaSession | None = None
         self._frozen: DiscoveryState | None = None
         self._join_env: ManagementEnvelope | None = None
@@ -263,7 +279,7 @@ class DiscoveryDriver:
             return self._drop("malformed_join")
         if env.signer_ref != cert.fingerprint:
             return self._drop("bad_signature")
-        uid = self._admit(cert, env)
+        uid = self._admit(cert)
         if uid is None:
             return []
         if uid == self.identity.uid:
@@ -272,6 +288,14 @@ class DiscoveryDriver:
         horizon = now_ms + int(self.timing.max_join_horizon * 1000)
         if t_ms < now_ms or t_ms > horizon:
             return self._drop("stale_join")
+        # a byte-identical rebroadcast of the last JOIN verified from this
+        # uid is authentic: equal payloads carry the same certificate, so
+        # the signed region is the same too
+        memo = (env.signature, env.payload)
+        if self._join_memo.get(uid) != memo:
+            if not verify_envelope(env, cert):
+                return self._drop("bad_signature")
+            self._join_memo[uid] = memo
         if (self.phase is Phase.AGREEING and self._session is not None
                 and self._frozen is not None
                 and uid in self._session.config.uids
@@ -309,9 +333,10 @@ class DiscoveryDriver:
                 floor = parse_join_response_payload(env.payload)[3]
             except (Truncated, NonCanonical, ValueError):
                 return self._drop("malformed_response")
-            signer = self._known.get(env.signer_ref)
-            if signer is not None and verify_envelope(env, signer[1]):
-                self.ledger.record_attempt(self.scope, floor)
+            if floor > self.ledger.floor(self.scope):
+                signer = self._known.get(env.signer_ref)
+                if signer is not None and verify_envelope(env, signer[1]):
+                    self.ledger.record_attempt(self.scope, floor)
             return self._drop("response_ignored")
         try:
             t_ms, p_ders, j_ders, floor = parse_join_response_payload(
@@ -328,7 +353,7 @@ class DiscoveryDriver:
         joining: dict[int, PeerCertificate] = {}
         for certs, target in ((p_certs, participants), (j_certs, joining)):
             for cert in certs:
-                uid = self._admit(cert, env=None)
+                uid = self._admit(cert)
                 if uid is None or uid in target:
                     return self._drop("bad_member_cert")
                 if (target is joining and uid in participants
@@ -347,12 +372,14 @@ class DiscoveryDriver:
         if signer[0] not in participants and signer[0] not in joining:
             # the responder must be part of the view it advertises
             return self._drop("foreign_responder")
-        if not verify_envelope(env, signer[1]):
-            return self._drop("bad_signature")
-        self.ledger.record_attempt(self.scope, floor)
         incoming = DiscoveryState(participants=participants, joining=joining,
                                   t_ms=t_ms)
         merged = merge_max(self.state, incoming)
+        if merged is self.state and floor <= self.ledger.floor(self.scope):
+            return self._drop("no_news")
+        if not verify_envelope(env, signer[1]):
+            return self._drop("bad_signature")
+        self.ledger.record_attempt(self.scope, floor)
         if merged is not self.state:
             self.state = self._keep_self(merged)
             if self.phase is Phase.COMMITTED and self.state.joining:
@@ -371,15 +398,22 @@ class DiscoveryDriver:
                 env.payload)
         except (Truncated, NonCanonical):
             return self._drop("malformed_gka")
-        if payload_uid != uid or not verify_envelope(env, cert):
+        if payload_uid != uid:
+            return self._drop("bad_signature")
+        # a straggler is still exchanging rounds we already completed
+        helps = (instance == self._help_instance and uid in self._help_ring
+                 and self._help_envs and now >= self._help_at)
+        floor = self.ledger.floor(self.scope)
+        session = self._session if self.phase is Phase.AGREEING else None
+        if instance <= floor and not helps and (
+                session is None or instance != session.config.instance_id):
+            return self._drop("no_news")
+        if not verify_envelope(env, cert):
             return self._drop("bad_signature")
         out: list[ManagementEnvelope] = []
-        if (instance == self._help_instance and uid in self._help_ring
-                and self._help_envs and now >= self._help_at):
-            # a straggler is still exchanging rounds we already completed
+        if helps:
             out.extend(self._help_envs)
             self._help_at = now + self.timing.gka_rebroadcast
-        floor = self.ledger.floor(self.scope)
         if instance > floor:
             present = (uid in self.state.participants
                        or uid in self.state.joining)
@@ -423,32 +457,35 @@ class DiscoveryDriver:
         if uid is not None:
             self._known[cert.fingerprint] = (uid, cert)
 
-    def _admit(self, cert: PeerCertificate,
-               env: ManagementEnvelope | None) -> int | None:
-        """Chain + permission + (for JOINs) signature check; returns uid.
+    def _admit(self, cert: PeerCertificate) -> int | None:
+        """Chain + permission check; returns the certificate's uid.
 
         Admission is cached by certificate fingerprint: views arrive many
         times per second and re-verifying the same chains would dominate
-        the whole discovery run.
+        the whole discovery run. A certificate refused for lacking the
+        grant is remembered too. A chain that fails is not, since anyone
+        can mint one.
         """
         cached = self._known.get(cert.fingerprint)
         if cached is not None:
-            uid = cached[0]
-        else:
-            if not verify_chain(cert, self.roots):
-                self._drop("untrusted_cert")
-                return None
-            try:
-                perm = authorize(cert, self.scope)
-            except (NotAuthorized, Expired):
-                self._drop("unauthorized_cert")
-                return None
-            uid = perm.uid
-            self._known[cert.fingerprint] = (uid, cert)
-        if env is not None and not verify_envelope(env, cert):
-            self._drop("bad_signature")
+            return cached[0]
+        if cert.fingerprint in self._refused:
+            self._drop("unauthorized_cert")
             return None
-        return uid
+        if not verify_chain(cert, self.roots):
+            self._drop("untrusted_cert")
+            return None
+        try:
+            perm = authorize(cert, self.scope)
+        except NotAuthorized:
+            self._refused.add(cert.fingerprint)
+            self._drop("unauthorized_cert")
+            return None
+        except Expired:
+            self._drop("unauthorized_cert")
+            return None
+        self._known[cert.fingerprint] = (perm.uid, cert)
+        return perm.uid
 
     def _keep_self(self, merged: DiscoveryState) -> DiscoveryState:
         """A wholesale view replacement must not orphan this node.

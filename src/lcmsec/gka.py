@@ -156,17 +156,16 @@ class GkaPhase(Enum):
     FAILED = "failed"
 
 
-def verify_envelope(env: ManagementEnvelope, cert: PeerCertificate) -> bool:
-    region = signed_region(env.kind, env.group, env.channel, env.payload)
-    return crypto.verify(region, env.signature, cert.public_key())
-
-
 class GkaSession:
     """One in-flight agreement instance; messages are handed in one by one.
 
     Active members broadcast; a passive incumbent is constructed with
     ``passive=True`` and a config whose ``my_index`` points at the first
     representative, whose view it reconstructs without transmitting.
+
+    Signatures are not checked here: the discovery driver verifies every
+    envelope before handing it in. The session checks that the signer is
+    the ring member the payload names.
     """
 
     def __init__(self, config: RingConfig, identity: LocalIdentity,
@@ -187,8 +186,8 @@ class GkaSession:
         self._n = config.n
         self._index_of = {uid: i for i, (uid, _) in
                           enumerate(config.participants)}
-        self._cert_by_ref = {cert.fingerprint: (uid, cert)
-                             for uid, cert in config.participants}
+        self._uid_by_ref = {cert.fingerprint: uid
+                            for uid, cert in config.participants}
         self._z: dict[int, object] = {}      # ring index -> round-1 element
         self._y: dict[int, object] = {}      # ring index -> round-2 element
         self._kl = None
@@ -254,13 +253,10 @@ class GkaSession:
             return self._drop("unknown_sender")
         if instance <= self.ledger.completed(self.config.scope, uid):
             return self._drop("stale_instance")
-        resolved = self._cert_by_ref.get(env.signer_ref)
-        if resolved is None:
+        signer_uid = self._uid_by_ref.get(env.signer_ref)
+        if signer_uid is None:
             return self._drop("unknown_sender")
-        cert_uid, cert = resolved
-        if cert_uid != uid:
-            return self._drop("bad_signature")
-        if not verify_envelope(env, cert):
+        if signer_uid != uid:
             return self._drop("bad_signature")
         try:
             element = P256.deserialize(element_raw)

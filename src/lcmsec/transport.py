@@ -53,12 +53,12 @@ class SimNet:
         self.delivered = 0
         self._heap: list[tuple[float, int, int, bytes]] = []
         self._tiebreak = itertools.count()
-        self._endpoints: dict[int, SimEndpoint] = {}
+        self._attached = 0          # endpoints get ids 0, 1, ...
         self.taps = []              # observers: f(sender_id, datagram)
 
     def attach(self) -> SimEndpoint:
-        ep = SimEndpoint(self, len(self._endpoints))
-        self._endpoints[ep.node_id] = ep
+        ep = SimEndpoint(self, self._attached)
+        self._attached += 1
         return ep
 
     def sample_delay(self) -> float:
@@ -71,7 +71,7 @@ class SimNet:
         self.sent += 1
         for tap in self.taps:
             tap(sender_id, datagram)
-        for node_id in self._endpoints:
+        for node_id in range(self._attached):
             if node_id == sender_id:
                 continue
             if self.rng.random() < self.loss:
@@ -95,22 +95,6 @@ class SimNet:
         self.delivered += 1
         return node_id, datagram
 
-    def run_until(self, t: float, handler=None):
-        """Deliver everything due by t (inclusive), then settle the clock.
-
-        ``handler(node_id, datagram, now)`` defaults to each endpoint's
-        attached callback; sends from inside a callback join the same run.
-        """
-        while self._heap and self._heap[0][0] <= t:
-            node_id, datagram = self.deliver_next()
-            if handler is not None:
-                handler(node_id, datagram, self.now)
-            else:
-                ep = self._endpoints[node_id]
-                if ep.callback is not None:
-                    ep.callback(datagram, self.now)
-        self.now = max(self.now, t)
-
 
 class SimEndpoint:
     """One node's hookup to a SimNet."""
@@ -118,13 +102,9 @@ class SimEndpoint:
     def __init__(self, net: SimNet, node_id: int):
         self.net = net
         self.node_id = node_id
-        self.callback = None       # set by the runner: f(datagram, now)
 
     def send(self, datagram: bytes):
         self.net.send(self.node_id, datagram)
-
-    def close(self):
-        self.callback = None
 
 
 class SimRunner:
@@ -154,31 +134,46 @@ class SimRunner:
             ep.send(datagram)
 
     def run_until(self, t_end: float):
+        """Run every delivery and timer due by ``t_end`` in time order.
+
+        At equal times deliveries go before timers, and timers go by node
+        index. Every node's wakeup is read once on entry, since nodes may
+        have been started, fed or added outside the runner. After that only
+        the node that just ran can have moved its timers, so only it is
+        asked again; superseded heap entries are skipped when they surface.
+        """
+        net = self.net
+        nodes = self._nodes
+        wakes = [node.next_wakeup() for node, _ in nodes]
+        timers = [(t, i) for i, t in enumerate(wakes) if t is not None]
+        heapq.heapify(timers)
         while True:
-            heads = []
-            nxt = self.net.next_delivery()
-            if nxt is not None:
-                heads.append((nxt, 0, None))
-            for i, (node, _) in enumerate(self._nodes):
-                wake = node.next_wakeup()
-                if wake is not None:
-                    heads.append((wake, 1, i))
-            if not heads:
-                break
-            t, kind, which = min(heads)
-            if t > t_end:
-                break
-            if kind == 0:
-                node_id, datagram = self.net.deliver_next()
-                node, ep = self._nodes[node_id]
-                for out in node.handle_datagram(datagram, self.net.now):
+            while timers and wakes[timers[0][1]] != timers[0][0]:
+                heapq.heappop(timers)
+            nxt = net.next_delivery()
+            if timers and (nxt is None or timers[0][0] < nxt):
+                t, i = timers[0]
+                if t > t_end:
+                    break
+                net.now = max(net.now, t)
+                node, ep = nodes[i]
+                for out in node.on_timer(net.now):
+                    ep.send(out)
+            elif nxt is not None:
+                if nxt > t_end:
+                    break
+                i, datagram = net.deliver_next()
+                node, ep = nodes[i]
+                for out in node.handle_datagram(datagram, net.now):
                     ep.send(out)
             else:
-                self.net.now = max(self.net.now, t)
-                node, ep = self._nodes[which]
-                for out in node.on_timer(self.net.now):
-                    ep.send(out)
-        self.net.now = max(self.net.now, t_end)
+                break
+            wake = node.next_wakeup()
+            if wake != wakes[i]:
+                wakes[i] = wake
+                if wake is not None:
+                    heapq.heappush(timers, (wake, i))
+        net.now = max(net.now, t_end)
 
     def run_while(self, predicate, t_max: float, step: float = 0.05):
         """Advance until predicate() goes false or t_max passes."""

@@ -8,16 +8,18 @@ import itertools
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmsec import crypto
+from lcmsec import crypto, discovery
 from lcmsec.discovery import (CommitResult, DiscoveryDriver, DiscoveryState,
                               Phase, T_SENTINEL, assign_sender_ids, compare,
                               merge_max)
 from lcmsec.errors import NotAuthorized
 from lcmsec.gka import InstanceLedger, JoinMode, KeyAgreeMode, LocalIdentity
-from lcmsec.identity import LCMDomain
+from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
+                             PeerCertificate)
 from lcmsec.wire import (ManagementEnvelope, MsgKind, decode_management,
                          encode_join_payload, encode_management,
                          parse_join_response_payload, signed_region)
@@ -536,3 +538,159 @@ def test_committed_driver_ignores_replayed_response(make_drivers):
     assert a.stats["stale_response"] == 1
     assert a.phase is Phase.COMMITTED
     assert a.state.sort_key() == key_before
+
+
+# ------------------------------------------- what replayed traffic costs
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Counts every ECDSA verification the control plane makes."""
+    calls = []
+    real = crypto.verify
+
+    def counting(message, signature, public_key):
+        calls.append(signature)
+        return real(message, signature, public_key)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    return calls
+
+
+def test_replayed_join_costs_no_verification(make_drivers, verify_calls):
+    a, b = make_drivers([1, 2])
+    a.initiate_join(0.0)
+    join = b.initiate_join(0.0)
+    deliver([a], join, 0.01)
+    assert len(verify_calls) == 1 and set(a._pending) == {2}
+    a.on_timer(a._response_at)               # answered: pending is empty
+    for k in range(5):
+        deliver([a], join, 0.2 + k / 100)
+    assert len(verify_calls) == 1
+    # the replay is still an authentic JOIN and is answered as before
+    assert set(a._pending) == {2}
+
+
+def test_replayed_response_costs_no_verification(make_drivers,
+                                                 verify_calls):
+    a, b, c = make_drivers([1, 2, 3])
+    a.initiate_join(0.0)
+    deliver([a], b.initiate_join(0.0), 0.0)
+    deliver([b], c.initiate_join(0.0), 0.0)
+    response = b.on_timer(b._response_at)
+    deliver([a], response, 0.1)
+    assert set(a.state.joining) == {1, 2, 3}
+    before = len(verify_calls)
+    state = a.state
+    for _ in range(5):
+        deliver([a], response, 0.1)
+    assert len(verify_calls) == before
+    assert a.stats["no_news"] == 5
+    assert a.state is state
+
+
+def test_replayed_rounds_of_finished_instance_cost_nothing(make_drivers,
+                                                           verify_calls):
+    drivers = make_drivers([1, 2, 3], seed_base=51)
+    sent = {}
+    t = run_network(drivers, sent=sent)
+    rounds = [e for outs in sent.values() for e in outs
+              if e.kind in (MsgKind.GKA_ROUND1, MsgKind.GKA_ROUND2)]
+    a = drivers[0]
+    # rounds of the instance a just finished may buy one answer for a
+    # straggler, then nothing until the help interval passes
+    verify_calls.clear()
+    deliver([a], rounds, t + 0.01)
+    first = len(verify_calls)
+    assert first <= 1
+    for _ in range(3):
+        deliver([a], rounds, t + 0.01)
+    assert len(verify_calls) == first
+    # once a newer agreement finished, the old rounds cost nothing at all
+    for d in drivers:
+        d.force_rekey(t + 1.0)
+    t = run_network(drivers, now=t + 1.0, join=False)
+    verify_calls.clear()
+    for k in range(4):
+        deliver([a], rounds, t + 1.0 + k)
+    assert verify_calls == []
+    assert a.phase is Phase.COMMITTED and a.epoch == 2
+
+
+def test_forged_response_with_news_costs_one_verification(make_drivers,
+                                                          verify_calls):
+    a, b, c = make_drivers([1, 2, 3])
+    a.initiate_join(0.0)
+    deliver([a], b.initiate_join(0.0), 0.0)
+    deliver([b], c.initiate_join(0.0), 0.0)
+    env = b.on_timer(b._response_at)[0]
+    assert env.kind is MsgKind.JOIN_RESPONSE
+    forged = ManagementEnvelope(
+        kind=env.kind, group=env.group, channel=env.channel,
+        payload=env.payload, signer_ref=env.signer_ref,
+        signature=bytes(reversed(env.signature)))
+    state, rng = a.state, a.rng.getstate()
+    floor, pending = a.ledger.floor(a.scope), dict(a._pending)
+    verify_calls.clear()
+    assert a.handle(forged, 0.1) == []
+    assert len(verify_calls) == 1
+    assert a.stats["bad_signature"] == 1
+    assert a.state is state and a.rng.getstate() == rng
+    assert a.ledger.floor(a.scope) == floor and a._pending == pending
+    # the genuine one carries the same news and is taken
+    assert a.handle(env, 0.1) == []
+    assert set(a.state.joining) == {1, 2, 3}
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Counts every certificate chain check the drivers make."""
+    calls = []
+    real = discovery.verify_chain
+
+    def counting(cert, roots, *args, **kwargs):
+        calls.append(cert.fingerprint)
+        return real(cert, roots, *args, **kwargs)
+
+    monkeypatch.setattr(discovery, "verify_chain", counting)
+    return calls
+
+
+def signed_join(scope, cert, key, t_ms):
+    payload = encode_join_payload(t_ms, cert.der)
+    region = signed_region(MsgKind.JOIN, scope.group, scope.channel, payload)
+    return ManagementEnvelope(
+        kind=MsgKind.JOIN, group=scope.group, channel=scope.channel,
+        payload=payload, signer_ref=cert.fingerprint,
+        signature=crypto.sign(region, key))
+
+
+def test_refused_certificate_chain_checked_once(make_drivers, member_factory,
+                                               chain_calls):
+    (d,) = make_drivers([1])
+    d.initiate_join(0.0)
+    # criterion 10's outsider: a valid chain, but its only grant names a
+    # different group
+    cert, key = member_factory("239.77.250.1:7667", ("*",), 3)
+    env = signed_join(d.scope, cert, key, 900)
+    for _ in range(5):
+        assert d.handle(env, 0.1) == []
+    assert chain_calls == [cert.fingerprint]
+    assert d.stats["unauthorized_cert"] == 5
+    assert d._pending == {}
+
+
+def test_untrusted_chain_is_not_remembered(make_drivers, tmp_path,
+                                           chain_calls):
+    (d,) = make_drivers([1])
+    d.initiate_join(0.0)
+    rogue_ca = CertificateAuthority.create(tmp_path / "rogue")
+    key = ec.generate_private_key(ec.SECP256R1())
+    cert = PeerCertificate(rogue_ca.issue(
+        [DomainUrn(group=d.scope.group, channel="*", id=4)],
+        key.public_key(), common_name="mallory"))
+    env = signed_join(d.scope, cert, key, 900)
+    for _ in range(3):
+        assert d.handle(env, 0.1) == []
+    assert len(chain_calls) == 3
+    assert d.stats["untrusted_cert"] == 3

@@ -9,6 +9,7 @@ from functools import reduce
 
 import pytest
 
+from lcmsec.discovery import DiscoveryDriver
 from lcmsec.ecgroup import P256, P256_ORDER
 from lcmsec.errors import StaleInstance
 from lcmsec.gka import (GkaPhase, GkaSession, InstanceLedger, JoinMode,
@@ -275,19 +276,36 @@ def valid_round1(sessions, from_idx=1):
     return sessions[from_idx].start(0.0)[0]
 
 
-def test_tampered_element_dropped(make_members):
+def test_tampered_element_dropped(make_members, roots):
+    # signatures are checked where envelopes enter a node: the driver
     scope, members = make_members([1, 2])
-    sessions = keyagree_sessions(scope, members)
-    sessions[0].start(0.0)
-    env = valid_round1(sessions, 1)
+    a, b = [DiscoveryDriver(scope, m, roots, InstanceLedger(),
+                            random.Random(m.uid)) for m in members]
+    for src, dst in ((a, b), (b, a)):
+        for env in src.initiate_join(0.0):
+            dst.handle(env, 0.0)
+    for d in (a, b):
+        for env in d.on_timer(d._response_at):
+            (b if d is a else a).handle(env, 0.15)
+    t_dead = max(a.state.t_ms, b.state.t_ms) / 1000 + 0.001
+    env = [e for e in b.on_timer(t_dead) if e.kind is MsgKind.GKA_ROUND1][0]
     bad_payload = bytearray(env.payload)
     bad_payload[-9] ^= 0x01   # flip a bit inside the element
     forged = type(env)(kind=env.kind, group=env.group, channel=env.channel,
                        payload=bytes(bad_payload), signer_ref=env.signer_ref,
                        signature=env.signature)
-    assert sessions[0].handle(forged, 0.0) == []
-    assert sessions[0].stats["bad_signature"] == 1
-    assert len(sessions[0]._z) == 1
+    # while gathering, a forged round-1 must not freeze the view
+    assert a.handle(forged, t_dead) == []
+    assert a.stats["bad_signature"] == 1
+    assert a._session is None and a.ledger.floor(scope) == 0
+    # during the agreement, it must not store an element
+    a.on_timer(t_dead)
+    assert a._session.config.instance_id == 1
+    assert a.handle(forged, t_dead) == []
+    assert a.stats["bad_signature"] == 2
+    assert len(a._session._z) == 1
+    a.handle(env, t_dead)
+    assert len(a._session._z) == 2
 
 
 def test_unknown_sender_dropped(make_members, member_factory):

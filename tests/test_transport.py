@@ -9,9 +9,12 @@ import statistics
 import pytest
 
 from lcmsec.errors import Oversize, SocketError
+from lcmsec.gka import LocalIdentity
+from lcmsec.node import LcmsecNode
 from lcmsec.transport import (
     MAX_DATAGRAM,
     SimNet,
+    SimRunner,
     UdpEndpoint,
     parse_group_address,
     udp_bind_multicast,
@@ -98,21 +101,18 @@ def test_simultaneous_events_deliver_in_send_order():
 
 
 def test_callback_sends_join_the_same_run():
+    # a reply sent while one delivery is handled is delivered in turn
     net = SimNet(seed=2, delay_mu=0.01, delay_sigma=0.0)
     a, b = net.attach(), net.attach()
+    eps = {a.node_id: a, b.node_id: b}
     log = []
-
-    def reply(datagram, now):
-        log.append((round(now, 6), datagram))
-        if datagram == b"ping":
-            b.send(b"pong")
-
-    b.callback = reply
-    a.callback = lambda d, now: log.append((round(now, 6), d))
     a.send(b"ping")
-    net.run_until(1.0)
-    assert log == [(0.01, b"ping"), (0.02, b"pong")]
-    assert net.now == 1.0
+    while (ev := net.deliver_next()) is not None:
+        node_id, datagram = ev
+        log.append((round(net.now, 6), node_id, datagram))
+        if datagram == b"ping":
+            eps[node_id].send(b"pong")
+    assert log == [(0.01, 1, b"ping"), (0.02, 0, b"pong")]
 
 
 def test_oversize_datagram_rejected():
@@ -135,9 +135,122 @@ def test_taps_observe_sends_even_under_total_loss():
 
 def test_run_until_settles_clock_with_empty_queue():
     net = SimNet()
-    net.run_until(2.5)
+    SimRunner(net).run_until(2.5)
     assert net.now == 2.5
     assert net.deliver_next() is None
+
+
+class _Stub:
+    """A node with one timer; records what the runner calls, and when."""
+
+    def __init__(self, name, log, wake=None):
+        self.name, self.log, self.wake = name, log, wake
+
+    def next_wakeup(self):
+        return self.wake
+
+    def on_timer(self, now):
+        self.log.append((now, "timer", self.name))
+        self.wake = None
+        return []
+
+    def handle_datagram(self, datagram, now):
+        self.log.append((now, "datagram", self.name))
+        return []
+
+
+def test_runner_ties_go_to_deliveries_then_node_index():
+    net = SimNet(seed=0, delay_mu=0.5, delay_sigma=0.0)
+    runner = SimRunner(net)
+    log = []
+    nodes = [_Stub(i, log) for i in range(3)]
+    eps = [runner.add(n) for n in nodes]
+    eps[2].send(b"x")               # lands on nodes 0 and 1 at t=0.5
+    nodes[1].wake = nodes[0].wake = 0.5
+    nodes[2].wake = 0.25
+    runner.run_until(1.0)
+    assert log == [(0.25, "timer", 2), (0.5, "datagram", 0),
+                   (0.5, "datagram", 1), (0.5, "timer", 0),
+                   (0.5, "timer", 1)]
+    assert net.now == 1.0
+
+
+def poll_every_node_run_until(runner, t_end):
+    """``SimRunner.run_until`` as it was: every node polled every event."""
+    net = runner.net
+    while True:
+        heads = []
+        nxt = net.next_delivery()
+        if nxt is not None:
+            heads.append((nxt, 0, None))
+        for i, (node, _) in enumerate(runner._nodes):
+            wake = node.next_wakeup()
+            if wake is not None:
+                heads.append((wake, 1, i))
+        if not heads:
+            break
+        t, kind, which = min(heads)
+        if t > t_end:
+            break
+        if kind == 0:
+            node_id, datagram = net.deliver_next()
+            node, ep = runner._nodes[node_id]
+            for out in node.handle_datagram(datagram, net.now):
+                ep.send(out)
+        else:
+            net.now = max(net.now, t)
+            node, ep = runner._nodes[which]
+            for out in node.on_timer(net.now):
+                ep.send(out)
+    net.now = max(net.now, t_end)
+
+
+class _LoggingNode(LcmsecNode):
+    def __init__(self, log, index, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log, self.index = log, index
+
+    def handle_datagram(self, data, now):
+        self.log.append((now, "datagram", self.index))
+        return super().handle_datagram(data, now)
+
+    def on_timer(self, now):
+        self.log.append((now, "timer", self.index))
+        return super().on_timer(now)
+
+
+def test_runner_matches_poll_every_node_loop(member_factory, roots):
+    group = "239.88.250.1:7667"
+    identities = [LocalIdentity(uid, *member_factory(group, ("*",), uid=uid))
+                  for uid in range(1, 6)]
+
+    def scenario(run_until):
+        net = SimNet(seed=21, loss=0.15, delay_mu=0.025, delay_sigma=0.005)
+        runner = SimRunner(net)
+        log = []
+        nodes = [_LoggingNode(log, i, ident, roots, group, ("ch",),
+                              random.Random(500 + i))
+                 for i, ident in enumerate(identities)]
+        for node in nodes[:4]:
+            runner.add(node)
+        runner.start_all()
+        while net.now < 6.0:
+            run_until(runner, net.now + 0.05)
+        # the joiner is started outside the runner, between two runs
+        ep = runner.add(nodes[4])
+        for datagram in nodes[4].start(net.now):
+            ep.send(datagram)
+        while net.now < 12.0:
+            run_until(runner, net.now + 0.05)
+        return log, nodes
+
+    fast, nodes = scenario(SimRunner.run_until)
+    slow, _ = scenario(poll_every_node_run_until)
+    assert fast == slow
+    # the run got somewhere: every node, the joiner too, shares one key
+    assert all(n.ready for n in nodes)
+    assert len({n.group_seed for n in nodes}) == 1
+    assert any(kind == "timer" for _, kind, _ in fast)
 
 
 # ------------------------------------------------------------------ real UDP
