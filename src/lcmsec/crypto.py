@@ -157,10 +157,17 @@ def kdf_expand(session_seed: bytes, context: bytes, *, epoch: int = 0,
     return KeyMaterial(key=out[:KEY_LEN], salt=salt, epoch=epoch, scope=scope)
 
 
-def key_context(group: str, channel: str, instance_id: int) -> bytes:
-    """Canonical KDF context for one agreement run."""
+def key_context(group: str, channel: str, instance_id: int,
+                group_instance: int = 0) -> bytes:
+    """Canonical KDF context for one agreement run.
+
+    Channel material also binds ``group_instance``, the group agreement it
+    is installed under, so every group commit re-keys every channel without
+    a channel agreement. The group's own material leaves it 0.
+    """
     return (b"lcmsec-key\x00" + group.encode("ascii") + b"\x00"
-            + channel.encode("ascii") + b"\x00" + struct.pack(">Q", instance_id))
+            + channel.encode("ascii") + b"\x00"
+            + struct.pack(">QQ", instance_id, group_instance))
 
 
 def derive_join_scalar(previous_seed: bytes, instance_id: int) -> int:

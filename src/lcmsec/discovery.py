@@ -22,6 +22,7 @@ draws from the RNG.
 
 from __future__ import annotations
 
+import datetime
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -121,6 +122,37 @@ def verify_envelope(env: ManagementEnvelope, cert: PeerCertificate) -> bool:
     return crypto.verify(region, env.signature, cert.public_key())
 
 
+class ChainVerdicts:
+    """Certificate chain checks shared by one node's drivers.
+
+    Chain validity does not depend on the scope, only the grant does, so one
+    check per certificate serves the group and every channel; the node hands
+    this to each driver as it does the :class:`InstanceLedger`. A passing
+    verdict is kept by fingerprint until the earliest ``not_valid_after`` of
+    the certificate and the roots. A failing one is not kept, since anyone
+    can mint a bad chain.
+    """
+
+    def __init__(self, roots):
+        self.roots = roots
+        self._until: dict[bytes, datetime.datetime] = {}
+
+    def trusted(self, cert: PeerCertificate,
+                now: datetime.datetime | None = None) -> bool:
+        if now is None:
+            now = datetime.datetime.now(datetime.timezone.utc)
+        until = self._until.get(cert.fingerprint)
+        if until is not None and now <= until:
+            return True
+        if not verify_chain(cert, self.roots, now):
+            self._until.pop(cert.fingerprint, None)
+            return False
+        self._until[cert.fingerprint] = min(
+            [cert.cert.not_valid_after_utc]
+            + [root.not_valid_after_utc for root in self.roots])
+        return True
+
+
 def assign_sender_ids(uids) -> dict[int, int]:
     """Rank+1 in ascending uid order; identical on every node given equal D."""
     return {uid: rank + 1 for rank, uid in enumerate(sorted(uids))}
@@ -130,15 +162,19 @@ class DiscoveryDriver:
     """Single-scope discovery state machine; feed it envelopes and timers.
 
     All methods return envelopes to broadcast. Completed or failed
-    agreements surface through :meth:`take_events`.
+    agreements surface through :meth:`take_events`. ``chains`` shares chain
+    verdicts with the node's other drivers; without it the driver keeps its
+    own.
     """
 
     def __init__(self, scope: LCMDomain, identity: LocalIdentity,
                  roots, ledger: InstanceLedger, rng,
-                 timing: DiscoveryTiming = DiscoveryTiming()):
+                 timing: DiscoveryTiming = DiscoveryTiming(),
+                 chains: ChainVerdicts | None = None):
         self.scope = scope
         self.identity = identity
         self.roots = roots
+        self.chains = chains or ChainVerdicts(roots)
         self.ledger = ledger
         self.rng = rng
         self.timing = timing
@@ -259,8 +295,9 @@ class DiscoveryDriver:
     def force_rekey(self, now: float) -> None:
         """Schedule a fresh agreement among the committed members.
 
-        Used after every group-level commit: data-path counters reset then,
-        so every channel key must change before the old IVs can repeat.
+        The node calls it on the group scope when the send counter is
+        spent. The group commit resets the counter and re-derives every
+        channel key locally, so no channel agreement has to follow.
         """
         if self.phase is not Phase.COMMITTED:
             return
@@ -460,11 +497,11 @@ class DiscoveryDriver:
     def _admit(self, cert: PeerCertificate) -> int | None:
         """Chain + permission check; returns the certificate's uid.
 
-        Admission is cached by certificate fingerprint: views arrive many
-        times per second and re-verifying the same chains would dominate
-        the whole discovery run. A certificate refused for lacking the
-        grant is remembered too. A chain that fails is not, since anyone
-        can mint one.
+        Admission to this scope is cached by certificate fingerprint: views
+        arrive many times per second. A certificate refused for lacking the
+        scope's grant is remembered too. The chain verdict itself comes from
+        the shared :class:`ChainVerdicts`, so a node checks each chain once
+        whatever the number of scopes.
         """
         cached = self._known.get(cert.fingerprint)
         if cached is not None:
@@ -472,7 +509,7 @@ class DiscoveryDriver:
         if cert.fingerprint in self._refused:
             self._drop("unauthorized_cert")
             return None
-        if not verify_chain(cert, self.roots):
+        if not self.chains.trusted(cert):
             self._drop("untrusted_cert")
             return None
         try:

@@ -2,10 +2,13 @@
 
 One node runs a discovery driver for the group scope plus one per channel
 it participates in. Group commits assign the sender id, reset the shared
-send counter and re-key every channel (the counter reset would otherwise
-repeat IVs); channel commits install payload keys. The node itself never
-touches a socket or a clock: datagrams and timestamps are handed in, and
-outbound datagrams are handed back.
+send counter and, in the same call, re-derive every keyed channel's payload
+key from its unchanged seed under the new group instance (the counter reset
+would otherwise repeat IVs). Channel agreements run only when a member
+enters that channel; their commits install payload keys under the current
+group instance. The node itself never touches a socket or a clock:
+datagrams and timestamps are handed in, and outbound datagrams are handed
+back.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import random
 
 from . import wire
 from .crypto import kdf_expand, key_context
-from .discovery import CommitResult, DiscoveryDriver, Phase
+from .discovery import ChainVerdicts, CommitResult, DiscoveryDriver, Phase
 from .errors import CounterExhausted, LcmsecError
 from .gka import InstanceLedger, LocalIdentity
 from .identity import LCMDomain
-from .session import Session
+from .session import Session, material_epoch
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +47,9 @@ class LcmsecNode:
             session_kw["grace"] = grace
         self.session = Session(group, self.channels, cert=identity.cert,
                                **session_kw)
-        driver_kw = {} if timing is None else {"timing": timing}
+        driver_kw = {"chains": ChainVerdicts(roots)}
+        if timing is not None:
+            driver_kw["timing"] = timing
         self._group_driver = DiscoveryDriver(
             LCMDomain(group, ""), identity, roots, self.ledger,
             self.rng, **driver_kw)
@@ -52,6 +57,9 @@ class LcmsecNode:
             ch: DiscoveryDriver(LCMDomain(group, ch), identity, roots,
                                 self.ledger, self.rng, **driver_kw)
             for ch in self.channels}
+        self._group_result: CommitResult | None = None
+        #: each channel's last commit, re-derived under every group commit
+        self._channel_results: dict[str, CommitResult] = {}
         self._deliveries: list[tuple[str, bytes]] = []
         self._started = False
         self.stats = {"foreign_scope": 0}
@@ -175,28 +183,36 @@ class LcmsecNode:
         return out
 
     def _on_group_commit(self, result: CommitResult, now: float):
+        self._group_result = result
         material = kdf_expand(
             result.seed, key_context(self.group, "", result.instance_id),
             epoch=result.epoch, scope="")
+        # the counter resets, so every keyed channel re-keys in the same call
+        channels = {ch: self._channel_material(ch, r)
+                    for ch, r in self._channel_results.items()}
         self.session.install_group(material, result.sender_ids[
-            self.identity.uid], now)
+            self.identity.uid], now, channels)
         log.debug("%s: group epoch %d (%d members)", self.group,
                   result.epoch, len(result.members))
-        # the counter just reset: every channel IV space must refresh too
         out = []
         for driver in self._channel_drivers.values():
-            if driver.phase is Phase.COMMITTED:
-                driver.force_rekey(now)
-            elif driver.phase is Phase.IDLE:
+            if driver.phase is Phase.IDLE:
                 out.extend(driver.initiate_join(now))
         return out
 
     def _on_channel_commit(self, channel: str, result: CommitResult,
                            now: float):
-        material = kdf_expand(
-            result.seed, key_context(self.group, channel,
-                                     result.instance_id),
-            epoch=result.epoch, scope=channel)
-        self.session.install_channel(channel, material, now)
+        self._channel_results[channel] = result
+        self.session.install_channel(
+            channel, self._channel_material(channel, result), now)
         log.debug("%s/%s: channel epoch %d", self.group, channel,
                   result.epoch)
+
+    def _channel_material(self, channel: str, result: CommitResult):
+        """Payload key from the channel seed under the current group
+        instance; a channel commits only after the group has."""
+        group = self._group_result
+        return kdf_expand(
+            result.seed, key_context(self.group, channel, result.instance_id,
+                                     group.instance_id),
+            epoch=material_epoch(group.epoch, result.epoch), scope=channel)

@@ -156,11 +156,23 @@ class ReplayWindow:
         return True
 
 
+def material_epoch(group_epoch: int, channel_epoch: int) -> int:
+    """The epoch of channel material: (group epoch, channel epoch) in one int.
+
+    A group commit re-derives every channel key under the new group epoch
+    and keeps the channel epoch, so only the pair tells two keys of one
+    channel apart in the key store and the replay windows.
+    """
+    return group_epoch << 32 | channel_epoch
+
+
 class KeyStore:
     """Newest-first key material, old epoch kept for a grace period.
 
     Live lists are cached until the earliest grace expiry among their
     entries, since the store is consulted for every single datagram.
+    Channel material carries a :func:`material_epoch`, so a group re-key
+    installs a new channel epoch and the old key serves out its grace.
     """
 
     def __init__(self, grace: float = DEFAULT_GRACE):
@@ -253,9 +265,17 @@ class Session:
     # ------------------------------------------------------------ key plumbing
 
     def install_group(self, material: KeyMaterial, sender_id: int,
-                      now: float):
-        """New group epoch: fresh name key, fresh sender id, counter reset."""
+                      now: float,
+                      channels: dict[str, KeyMaterial] | None = None):
+        """New group epoch: fresh name key, fresh sender id, counter reset.
+
+        ``channels`` holds every keyed channel's material re-derived under
+        the new group epoch. It lands in this same call, so no message is
+        sealed under an old channel key once the counter restarts.
+        """
         self.keys.install_group(material, now)
+        for channel, channel_material in (channels or {}).items():
+            self.install_channel(channel, channel_material, now)
         self.sender_id = sender_id
         self.counter.reset()
 

@@ -3,6 +3,7 @@ join / freeze / agree / commit lifecycle over an in-memory network."""
 
 from __future__ import annotations
 
+import datetime
 import functools
 import itertools
 import random
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmsec import crypto, discovery
-from lcmsec.discovery import (CommitResult, DiscoveryDriver, DiscoveryState,
-                              Phase, T_SENTINEL, assign_sender_ids, compare,
-                              merge_max)
+from lcmsec.discovery import (ChainVerdicts, CommitResult, DiscoveryDriver,
+                              DiscoveryState, Phase, T_SENTINEL,
+                              assign_sender_ids, compare, merge_max)
 from lcmsec.errors import NotAuthorized
 from lcmsec.gka import InstanceLedger, JoinMode, KeyAgreeMode, LocalIdentity
 from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
@@ -694,3 +695,49 @@ def test_untrusted_chain_is_not_remembered(make_drivers, tmp_path,
         assert d.handle(env, 0.1) == []
     assert len(chain_calls) == 3
     assert d.stats["untrusted_cert"] == 3
+
+
+def test_chain_verdict_shared_but_grants_stay_per_scope(member_factory, roots,
+                                                        chain_calls):
+    group = f"239.77.{next(_group_counter)}.1:7667"
+    cert, key = member_factory(group, ("*",), 1)
+    ident = LocalIdentity(uid=1, cert=cert, key=key)
+    chains, ledger, rng = ChainVerdicts(roots), InstanceLedger(), \
+        random.Random(1)
+    granted, other = [DiscoveryDriver(LCMDomain(group, ch), ident, roots,
+                                      ledger, rng, chains=chains)
+                      for ch in ("a", "b")]
+    for d in (granted, other):
+        d.initiate_join(0.0)
+    peer_cert, peer_key = member_factory(group, ("a",), 2)
+    for d in (granted, other):
+        for _ in range(3):
+            assert d.handle(signed_join(d.scope, peer_cert, peer_key, 900),
+                            0.1) == []
+    # one chain check for both scopes; the grant is still checked per scope
+    assert chain_calls == [peer_cert.fingerprint]
+    assert 2 in granted._pending
+    assert other._pending == {}
+    assert other.stats["unauthorized_cert"] == 3
+    # so in the scope it has no grant for, the peer stays an unknown signer
+    round1 = ManagementEnvelope(
+        kind=MsgKind.GKA_ROUND1, group=group, channel="b", payload=b"",
+        signer_ref=peer_cert.fingerprint, signature=b"")
+    assert other.handle(round1, 0.2) == []
+    assert other.stats["unknown_gka_signer"] == 1
+
+
+def test_chain_verdict_never_outlives_the_certificate(member_factory, roots,
+                                                      chain_calls):
+    cert, _ = member_factory(f"239.77.{next(_group_counter)}.1:7667",
+                             ("*",), 1)
+    chains = ChainVerdicts(roots)
+    expiry = cert.cert.not_valid_after_utc
+    assert chains.trusted(cert)
+    assert chains.trusted(cert, expiry)
+    assert len(chain_calls) == 1
+    # past its not_valid_after the verdict is checked again, and fails
+    assert not chains.trusted(cert, expiry + datetime.timedelta(seconds=1))
+    assert len(chain_calls) == 2
+    assert not chains.trusted(cert, expiry + datetime.timedelta(seconds=2))
+    assert len(chain_calls) == 3

@@ -8,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from lcmsec import wire
+from ivlog import IvLog
+from lcmsec import discovery, session, wire
 from lcmsec.errors import CounterExhausted, NoKey
 from lcmsec.gka import LocalIdentity
 from lcmsec.node import LcmsecNode
@@ -136,6 +137,8 @@ def test_counter_exhaustion_forces_rekey_and_resumes(make_cluster):
     runner.start_all()
     assert settle(runner, nodes)
 
+    seed = nodes[0].channel_seed("chatter")
+    key = nodes[0].session.keys.channel_keys("chatter", net.now)[0]
     nodes[0].session.counter.force(0xFFFFFFFF)
     with pytest.raises(CounterExhausted):
         nodes[0].publish("chatter", b"doomed", net.now)
@@ -143,12 +146,103 @@ def test_counter_exhaustion_forces_rekey_and_resumes(make_cluster):
     # the failed publish scheduled a group re-key on its own; wait it out
     assert runner.run_while(
         lambda: not (all(n.ready for n in nodes)
-                     and nodes[0].group_epoch >= 2
-                     and nodes[0].channel_epoch("chatter") >= 2),
+                     and all(n.group_epoch >= 2 for n in nodes)),
         t_max=net.now + 30.0)
+    # the channel kept its seed and ran no agreement, yet its key changed
+    for node in nodes:
+        assert node.channel_epoch("chatter") == 1
+        assert node.channel_seed("chatter") == seed
+        assert node.session.keys.channel_keys("chatter", net.now)[0] != key
     runner.publish(0, "chatter", b"back on the air")
     runner.run_until(net.now + 1.0)
     assert ("chatter", b"back on the air") in nodes[1].take_deliveries()
+
+
+def publish_until(runner, net, senders, channels, done, every=0.003,
+                  t_max=30.0):
+    """Publish from each sender on each channel every ``every`` virtual s
+    until ``done()``; returns (sender index, channel, payload) of each
+    publish that was not refused."""
+    sent = []
+    t_end = net.now + t_max
+    while not done():
+        assert net.now < t_end, "re-key did not finish"
+        for i in senders:
+            for channel in channels:
+                payload = b"%d/%d" % (i, len(sent))
+                try:
+                    runner.publish(i, channel, payload)
+                except CounterExhausted:
+                    continue
+                sent.append((i, channel, payload))
+        runner.run_until(net.now + every)
+    return sent
+
+
+def test_rekeys_never_repeat_an_iv_and_deliver_the_gap(
+        make_cluster, member_factory, roots, monkeypatch):
+    # every seal goes through the tripwire, which raises on a repeated IV
+    monkeypatch.setattr(session, "aead_seal", IvLog().seal)
+    channels = ("chatter", "status")
+    net, runner, nodes = make_cluster(3, channels=channels, seed=7)
+    runner.start_all()
+    assert settle(runner, nodes)
+
+    # a join re-keys the group; the joiner enters "chatter" only
+    cert, key = member_factory(nodes[0].group, ("chatter",), uid=9)
+    late = LcmsecNode(LocalIdentity(9, cert, key), roots, nodes[0].group,
+                      ("chatter",), random.Random(9))
+    ep = runner.add(late)
+    for out in late.start(net.now):
+        ep.send(out)
+    everyone = nodes + [late]
+    sent = publish_until(
+        runner, net, (0, 1), channels,
+        lambda: all(n.ready for n in everyone)
+        and all(n.group_epoch == 2 for n in nodes))
+
+    # a spent send counter re-keys the group again
+    nodes[0].session.counter.force(0xFFFFFFFF - 4)
+    sent += publish_until(
+        runner, net, (0, 1), channels,
+        lambda: all(n.ready for n in everyone)
+        and all(n.group_epoch == 3 for n in nodes))
+    runner.publish(0, "status", b"back on the air")
+    sent.append((0, "status", b"back on the air"))
+    runner.run_until(net.now + 1.0)
+
+    for k, node in enumerate(nodes):
+        got = set(node.take_deliveries())
+        missed = [(ch, p) for i, ch, p in sent
+                  if i != k and (ch, p) not in got]
+        assert missed == []
+
+
+def test_one_chain_check_per_peer_per_node(make_cluster, member_factory,
+                                           roots, monkeypatch):
+    calls = Counter()
+    real = discovery.verify_chain
+
+    def counting(cert, *args, **kwargs):
+        calls[cert.fingerprint] += 1
+        return real(cert, *args, **kwargs)
+
+    monkeypatch.setattr(discovery, "verify_chain", counting)
+    net, runner, nodes = make_cluster(3, channels=("chatter", "status"),
+                                      seed=8)
+    runner.start_all()
+    assert settle(runner, nodes)
+    cert, key = member_factory(nodes[0].group, ("chatter",), uid=9)
+    late = LcmsecNode(LocalIdentity(9, cert, key), roots, nodes[0].group,
+                      ("chatter",), random.Random(9))
+    ep = runner.add(late)
+    for out in late.start(net.now):
+        ep.send(out)
+    everyone = nodes + [late]
+    assert settle(runner, everyone, t_max=net.now + 30.0)
+    # the group and both channel scopes share one verdict per certificate
+    assert calls == {n.identity.cert.fingerprint: len(everyone) - 1
+                     for n in everyone}
 
 
 def test_publish_before_ready_raises(make_cluster):
