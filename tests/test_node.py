@@ -158,13 +158,12 @@ def test_counter_exhaustion_forces_rekey_and_resumes(make_cluster):
     assert ("chatter", b"back on the air") in nodes[1].take_deliveries()
 
 
-def publish_until(runner, net, senders, channels, done, every=0.003,
-                  t_max=30.0):
-    """Publish from each sender on each channel every ``every`` virtual s
-    until ``done()``; returns (sender index, channel, payload) of each
-    publish that was not refused."""
+def publish_until(runner, net, senders, channels, done):
+    """Publish from each sender on each channel every 3 virtual ms until
+    ``done()``; returns (sender index, channel, payload) of each publish
+    that was not refused."""
     sent = []
-    t_end = net.now + t_max
+    t_end = net.now + 30.0
     while not done():
         assert net.now < t_end, "re-key did not finish"
         for i in senders:
@@ -175,7 +174,7 @@ def publish_until(runner, net, senders, channels, done, every=0.003,
                 except CounterExhausted:
                     continue
                 sent.append((i, channel, payload))
-        runner.run_until(net.now + every)
+        runner.run_until(net.now + 0.003)
     return sent
 
 
