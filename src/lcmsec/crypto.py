@@ -9,8 +9,7 @@ management traffic. All block-cipher and signature work is delegated to the
 from __future__ import annotations
 
 import struct
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -27,38 +26,16 @@ SALT_BITS = 16
 TAG_LEN = 16
 IV_LEN = 12
 
+#: first keystream blocks of one sender's next sequence numbers that one
+#: OpenSSL call computes ahead, see :meth:`KeyMaterial.run_ahead`
+NAME_RUN = 64
+#: senders whose runs one key keeps; reaching it starts the table afresh
+_RUNS_CAP = 256
+_SEQNO_MAX = 0xFFFFFFFF
+_COUNTER_BLOCK = struct.Struct(">HHI8x").pack
+
 #: sign/verify hash for management traffic
 _SIG_HASH = ec.ECDSA(hashes.SHA256())
-
-# Cipher contexts are reused across messages: constructing them costs more
-# than the block work at our payload sizes. OpenSSL contexts must not be
-# shared between threads, hence the thread-local caches.
-_TLS = threading.local()
-_CACHE_CAP = 64
-
-
-def _cached(slot: str, key: bytes, build):
-    cache = getattr(_TLS, slot, None)
-    if cache is None:
-        cache = {}
-        setattr(_TLS, slot, cache)
-    obj = cache.get(key)
-    if obj is None:
-        if len(cache) >= _CACHE_CAP:
-            cache.clear()
-        obj = cache[key] = build()
-    return obj
-
-
-def _aesgcm(key: bytes) -> AESGCM:
-    return _cached("gcm", key, lambda: AESGCM(key))
-
-
-def _ecb_encryptor(key: bytes):
-    # ECB over successive counter blocks IS the CTR keystream; a single
-    # long-lived encryptor works because ECB chains no state between blocks
-    return _cached("ecb", key, lambda: Cipher(algorithms.AES(key),
-                                              modes.ECB()).encryptor())
 
 
 @dataclass(frozen=True)
@@ -73,12 +50,48 @@ class KeyMaterial:
     salt: int
     epoch: int
     scope: str
+    #: cipher objects bound once: building them costs more than the block
+    #: work of one datagram, and the data path uses them for every datagram
+    gcm: AESGCM = field(init=False, repr=False, compare=False)
+    ecb: object = field(init=False, repr=False, compare=False)
+    #: sender id -> (first seqno, keystream blocks), see :meth:`run_ahead`
+    runs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.key) != KEY_LEN:
             raise ValueError("key must be 16 bytes")
         if not 0 <= self.salt < (1 << SALT_BITS):
             raise ValueError("salt must fit in 16 bits")
+        object.__setattr__(self, "gcm", AESGCM(self.key))
+        object.__setattr__(self, "ecb", _ecb_encryptor(self.key))
+        object.__setattr__(self, "runs", {})
+
+    def run_ahead(self, sender_id: int, seqno: int):
+        """Make the sender's run cover ``seqno``, :data:`NAME_RUN` at a time.
+
+        A run holds keystream block 0 of the sender's next messages, which
+        covers a channel name of up to 16 bytes, so :func:`name_crypt` needs
+        no AES call for them. Called for own publishes and for messages that
+        authenticated only, so forged traffic never makes the key compute or
+        keep a run.
+        """
+        run = self.runs.get(sender_id)
+        if run is not None and 0 <= (seqno - run[0]) * 16 < len(run[1]):
+            return
+        if seqno > _SEQNO_MAX:
+            return
+        if len(self.runs) >= _RUNS_CAP:
+            self.runs.clear()
+        salt = self.salt
+        end = min(seqno + NAME_RUN, _SEQNO_MAX + 1)
+        self.runs[sender_id] = (seqno, self.ecb.update(b"".join(
+            _COUNTER_BLOCK(salt, sender_id, s) for s in range(seqno, end))))
+
+
+def _ecb_encryptor(key: bytes):
+    # ECB over successive counter blocks IS the CTR keystream; a single
+    # long-lived encryptor works because ECB chains no state between blocks
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
 
 
 def build_iv(salt: int, sender_id: int, msg_seqno: int) -> bytes:
@@ -96,7 +109,7 @@ def aead_seal(material: KeyMaterial, iv: bytes, plaintext: bytes,
 
     The caller guarantees IV uniqueness per key.
     """
-    return _aesgcm(material.key).encrypt(iv, plaintext, aad)
+    return material.gcm.encrypt(iv, plaintext, aad)
 
 
 def aead_open(material: KeyMaterial, iv: bytes, ciphertext_and_tag: bytes,
@@ -105,7 +118,7 @@ def aead_open(material: KeyMaterial, iv: bytes, ciphertext_and_tag: bytes,
     if len(ciphertext_and_tag) < TAG_LEN:
         raise TooShort("ciphertext shorter than the authentication tag")
     try:
-        return _aesgcm(material.key).decrypt(iv, ciphertext_and_tag, aad)
+        return material.gcm.decrypt(iv, ciphertext_and_tag, aad)
     except InvalidSignature:
         raise AuthFailure("AEAD tag mismatch")
     except Exception:
@@ -115,10 +128,13 @@ def aead_open(material: KeyMaterial, iv: bytes, ciphertext_and_tag: bytes,
 
 def ctr_xor(key: bytes, counter_block: bytes, data: bytes) -> bytes:
     """Raw AES-CTR keystream XOR for a full 16-byte initial counter block."""
+    return _keystream_xor(_ecb_encryptor(key), counter_block, data)
+
+
+def _keystream_xor(enc, counter_block: bytes, data: bytes) -> bytes:
     n = len(data)
     if not n:
         return b""
-    enc = _ecb_encryptor(key)
     if n <= 16:
         ks = enc.update(counter_block)
     else:
@@ -130,13 +146,37 @@ def ctr_xor(key: bytes, counter_block: bytes, data: bytes) -> bytes:
             ^ int.from_bytes(ks[:n], "big")).to_bytes(n, "big")
 
 
+def name_crypt(material: KeyMaterial, sender_id: int, seqno: int,
+               data: bytes) -> bytes:
+    """:func:`ctr_crypt` under IV (salt, sender_id, seqno), for names.
+
+    A name of up to 16 bytes takes its keystream from the sender's run when
+    :meth:`KeyMaterial.run_ahead` made one that covers ``seqno``.
+    """
+    n = len(data)
+    if n > 16:
+        return ctr_crypt(material, build_iv(material.salt, sender_id, seqno),
+                         data)
+    if not n:
+        return b""
+    run = material.runs.get(sender_id)
+    at = -1 if run is None else (seqno - run[0]) * 16
+    if 0 <= at < len(run[1]):
+        ks = run[1][at:at + n]
+    else:
+        ks = material.ecb.update(_COUNTER_BLOCK(material.salt, sender_id,
+                                                seqno))[:n]
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(ks, "big")).to_bytes(n, "big")
+
+
 def ctr_crypt(material: KeyMaterial, iv: bytes, data: bytes) -> bytes:
     """AES-CTR stream encryption with the 96-bit IV and counter starting at 0.
 
     Self-inverse and length preserving; the first n output bytes depend only
     on the first n input bytes, so a receiver can decrypt a prefix bytewise.
     """
-    return ctr_xor(material.key, iv + b"\x00\x00\x00\x00", data)
+    return _keystream_xor(material.ecb, iv + b"\x00\x00\x00\x00", data)
 
 
 def hkdf_bytes(seed: bytes, context: bytes, length: int) -> bytes:

@@ -26,6 +26,8 @@ from .session import Session, material_epoch
 
 log = logging.getLogger(__name__)
 
+_MANAGEMENT_MAGIC = wire.MAGIC_MANAGEMENT.to_bytes(4, "big")
+
 
 class LcmsecNode:
     """Everything about one multicast group membership, minus the I/O."""
@@ -97,28 +99,24 @@ class LcmsecNode:
     # ------------------------------------------------------------------- I/O
 
     def handle_datagram(self, data: bytes, now: float) -> list[bytes]:
-        try:
-            magic = wire.peek_magic(data)
-        except LcmsecError:
-            self.session.stats.drop("truncated")
+        if data[:4] != _MANAGEMENT_MAGIC:
+            # data path; the session counts what it drops, runts included
+            result = self.session.receive(data, now)
+            if result is not None:
+                self._deliveries.append(result)
             return []
-        if magic == wire.MAGIC_MANAGEMENT:
-            try:
-                env = wire.decode_management(data)
-            except LcmsecError:
-                self.session.stats.drop("bad_management")
-                return []
-            driver = self._driver_for(env.group, env.channel)
-            if driver is None:
-                self.stats["foreign_scope"] += 1
-                return []
-            out = driver.handle(env, now)
-            out.extend(self._pump_events(now))
-            return self._encode(out)
-        result = self.session.receive(data, now)
-        if result is not None:
-            self._deliveries.append(result)
-        return []
+        try:
+            env = wire.decode_management(data)
+        except LcmsecError:
+            self.session.stats.drop("bad_management")
+            return []
+        driver = self._driver_for(env.group, env.channel)
+        if driver is None:
+            self.stats["foreign_scope"] += 1
+            return []
+        out = driver.handle(env, now)
+        out.extend(self._pump_events(now))
+        return self._encode(out)
 
     def on_timer(self, now: float) -> list[bytes]:
         out = []

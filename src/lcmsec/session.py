@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .crypto import (TAG_LEN, KeyMaterial, aead_seal, aead_open, build_iv,
-                     ctr_crypt)
+                     ctr_crypt, name_crypt)
 from .errors import (AuthFailure, BadName, CounterExhausted, LcmsecError,
                      NoKey, NotAuthorized, TooShort)
 from .identity import LCMDomain, PeerCertificate, authorize
@@ -129,6 +129,7 @@ class ReplayWindow:
         if size <= 0 or size % 32:
             raise ValueError("window size must be a positive multiple of 32")
         self.size = size
+        self._mask = (1 << size) - 1
         self._highest: int | None = None
         self._bits = 0                    # bit k == (highest - k) accepted
 
@@ -143,8 +144,7 @@ class ReplayWindow:
             if shift >= self.size:
                 self._bits = 1
             else:
-                mask = (1 << self.size) - 1
-                self._bits = ((self._bits << shift) | 1) & mask
+                self._bits = ((self._bits << shift) | 1) & self._mask
             self._highest = seqno
             return True
         offset = self._highest - seqno
@@ -193,9 +193,6 @@ class KeyStore:
 
     def _live(self, label: str | None, slots: list[list],
               now: float) -> list[KeyMaterial]:
-        hit = self._cache.get(label)
-        if hit is not None and now < hit[1]:
-            return hit[0]
         live = [m for m, expiry in slots if expiry is None or now < expiry]
         until = min((e for _, e in slots if e is not None and now < e),
                     default=math.inf)
@@ -213,9 +210,15 @@ class KeyStore:
         self._cache.pop(channel, None)
 
     def group_keys(self, now: float) -> list[KeyMaterial]:
+        hit = self._cache.get(None)
+        if hit is not None and now < hit[1]:
+            return hit[0]
         return self._live(None, self._group, now)
 
     def channel_keys(self, channel: str, now: float) -> list[KeyMaterial]:
+        hit = self._cache.get(channel)
+        if hit is not None and now < hit[1]:
+            return hit[0]
         return self._live(channel, self._channels.get(channel, []), now)
 
     def channel_epochs(self, channel: str) -> set[int]:
@@ -260,7 +263,10 @@ class Session:
         self._windows: dict[tuple[str, int, int], ReplayWindow] = {}
         self._reassembly = ReassemblyBuffer()
         self._publishable: dict[str, bool] = {}
-        self._names: dict[str, bytes] = {}
+        #: channel -> :meth:`_send_context`, cleared by every install
+        self._sending: dict[str, tuple] = {}
+        #: decrypted name with its NUL -> channel, for names subscribed to
+        self._channel_of: dict[bytes, str] = {}
 
     # ------------------------------------------------------------ key plumbing
 
@@ -278,10 +284,12 @@ class Session:
             self.install_channel(channel, channel_material, now)
         self.sender_id = sender_id
         self.counter.reset()
+        self._sending.clear()
 
     def install_channel(self, channel: str, material: KeyMaterial,
                         now: float):
         self.keys.install_channel(channel, material, now)
+        self._sending.pop(channel, None)
         keep = self.keys.channel_epochs(channel)
         for key in [k for k in self._windows
                     if k[0] == channel and k[2] not in keep]:
@@ -304,17 +312,17 @@ class Session:
             raise NotAuthorized(f"certificate covers no {channel!r} on "
                                 f"{self.group}")
 
-    def publish(self, channel: str, payload: bytes,
-                now: float = 0.0) -> list[bytes]:
-        name_nul = self._names.get(channel)
-        if name_nul is None:
-            try:
-                name = channel.encode("ascii")
-            except UnicodeEncodeError:
-                raise BadName(repr(channel))
-            if not 0 < len(name) < MAX_CHANNELNAME or b"\x00" in name:
-                raise BadName(repr(channel))
-            name_nul = self._names[channel] = name + b"\x00"
+    def _send_context(self, channel: str, now: float) -> tuple:
+        """(name with NUL, group key, channel key, sender id, largest payload
+        that fits one datagram): what every publish on ``channel`` needs
+        until the next install. Raises what :meth:`publish` refuses with."""
+        try:
+            name = channel.encode("ascii")
+        except UnicodeEncodeError:
+            raise BadName(repr(channel))
+        if not 0 < len(name) < MAX_CHANNELNAME or b"\x00" in name:
+            raise BadName(repr(channel))
+        name_nul = name + b"\x00"
         self._check_publishable(channel)
         group_keys = self.keys.group_keys(now)
         if not group_keys or self.sender_id is None:
@@ -322,21 +330,34 @@ class Session:
         channel_keys = self.keys.channel_keys(channel, now)
         if not channel_keys:
             raise NoKey(f"no key material for channel {channel!r}")
-        # refused before a sequence number is spent on it; the encrypted
-        # name is as long as the plain one
-        wire.check_sendable(len(name_nul), len(payload) + TAG_LEN, self.mtu)
-        k_g, k_ch = group_keys[0], channel_keys[0]
+        # the newest key of a scope never expires, so this holds until an
+        # install clears it
+        ctx = self._sending[channel] = (
+            name_nul, group_keys[0], channel_keys[0], self.sender_id,
+            self.mtu - SECURE_HEADER_LEN - len(name_nul) - TAG_LEN)
+        return ctx
+
+    def publish(self, channel: str, payload: bytes,
+                now: float = 0.0) -> list[bytes]:
+        ctx = self._sending.get(channel)
+        if ctx is None:
+            ctx = self._send_context(channel, now)
+        name_nul, k_g, k_ch, sender_id, single_max = ctx
+        if len(payload) > single_max:
+            # refused before a sequence number is spent on it; the
+            # encrypted name is as long as the plain one
+            wire.check_sendable(len(name_nul), len(payload) + TAG_LEN,
+                                self.mtu)
         seqno = self.counter.next()
-        enc_name = ctr_crypt(k_g, build_iv(k_g.salt, self.sender_id, seqno),
-                             name_nul)
-        body = aead_seal(k_ch, build_iv(k_ch.salt, self.sender_id, seqno),
+        k_g.run_ahead(sender_id, seqno)
+        enc_name = name_crypt(k_g, sender_id, seqno, name_nul)
+        body = aead_seal(k_ch, build_iv(k_ch.salt, sender_id, seqno),
                          payload, aad=name_nul)
         self.stats.published += 1
-        if SECURE_HEADER_LEN + len(enc_name) + len(body) <= self.mtu:
+        if len(payload) <= single_max:
             # single-datagram case, overwhelmingly common
-            return [pack_secure(seqno, self.sender_id, enc_name + body)]
-        packets = wire.fragment(enc_name, body, seqno, self.sender_id,
-                                self.mtu)
+            return [pack_secure(seqno, sender_id, enc_name + body)]
+        packets = wire.fragment(enc_name, body, seqno, sender_id, self.mtu)
         return [encode_secure(p) if isinstance(p, SecurePacket)
                 else encode_fragment(p) for p in packets]
 
@@ -401,33 +422,37 @@ class Session:
             return None
         reason = "garbled_name"
         for k_g in group_keys:
-            iv_g = build_iv(k_g.salt, sender_id, seqno)
             if enc_name is None:
                 bound = min(MAX_CHANNELNAME, len(sealed_tail) - 16)
                 # names are nearly always short: probe one keystream block
                 # before paying for the full 256-byte bound
-                probe = min(bound, 16)
-                plain = ctr_crypt(k_g, iv_g, sealed_tail[:probe])
+                plain = name_crypt(k_g, sender_id, seqno,
+                                   sealed_tail[:min(bound, 16)])
                 nul = plain.find(0)
-                if nul < 0 and probe < bound:
-                    plain = ctr_crypt(k_g, iv_g, sealed_tail[:bound])
+                if nul < 0 and bound > 16:
+                    plain = ctr_crypt(k_g, build_iv(k_g.salt, sender_id,
+                                                    seqno),
+                                      sealed_tail[:bound])
                     nul = plain.find(0)
                 if nul < 0:
                     continue
                 name_nul = plain[:nul + 1]
                 sealed = sealed_tail[nul + 1:]
             else:
-                name_nul = ctr_crypt(k_g, iv_g, enc_name)
+                name_nul = name_crypt(k_g, sender_id, seqno, enc_name)
                 if not name_nul.endswith(b"\x00") or 0 in name_nul[:-1]:
                     continue
                 sealed = sealed_tail
-            raw = name_nul[:-1]
-            if not raw.isascii() or not raw:
-                continue
-            channel = raw.decode("ascii")
+            channel = self._channel_of.get(name_nul)
+            if channel is None:
+                raw = name_nul[:-1]
+                if not raw.isascii() or not raw:
+                    continue
+                channel = raw.decode("ascii")
             if channel not in self.subscriptions:
                 reason = "unsubscribed"
                 continue
+            self._channel_of[name_nul] = channel
             channel_keys = self.keys.channel_keys(channel, now)
             if not channel_keys:
                 reason = "no_channel_key"
@@ -439,19 +464,17 @@ class Session:
                 except (AuthFailure, TooShort):
                     reason = "auth_failure"
                     continue
-                if not self._replay_check(channel, sender_id, k_ch.epoch,
-                                          seqno):
+                key = (channel, sender_id, k_ch.epoch)
+                window = self._windows.get(key)
+                if window is None:
+                    window = self._windows[key] = ReplayWindow(
+                        self.window_size)
+                if not window.check(seqno):
                     self.stats.drop("replayed")
                     return None
+                # the sender is genuine: its next names decrypt from a run
+                k_g.run_ahead(sender_id, seqno + 1)
                 self.stats.delivered += 1
                 return channel, payload
         self.stats.drop(reason)
         return None
-
-    def _replay_check(self, channel: str, sender_id: int, epoch: int,
-                      seqno: int) -> bool:
-        key = (channel, sender_id, epoch)
-        window = self._windows.get(key)
-        if window is None:
-            window = self._windows[key] = ReplayWindow(self.window_size)
-        return window.check(seqno)
