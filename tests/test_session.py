@@ -282,6 +282,57 @@ def test_bit_flips_never_corrupt():
     assert rx.stats.delivered == 400
 
 
+def test_only_authenticated_senders_get_name_runs():
+    rng = random.Random(5)
+    tx = make_session(sender_id=1)
+    rx = make_session(sender_id=2)
+    (d,) = tx.publish("chatter", b"genuine")
+    name_key = rx.keys.group_keys(0.0)[0]
+    for _ in range(200):
+        forged = bytearray(d)
+        forged[8:10] = rng.randrange(3, 0x10000).to_bytes(2, "big")
+        forged[4:8] = rng.randbytes(4)
+        assert rx.receive(bytes(forged)) is None
+        flipped = bytearray(d)
+        flipped[rng.randrange(10, len(d))] ^= 1 << rng.randrange(8)
+        assert rx.receive(bytes(flipped)) is None
+    assert name_key.runs == {}
+    assert rx.receive(d) == ("chatter", b"genuine")
+    assert set(name_key.runs) == {1}
+
+
+def test_publish_follows_every_install():
+    tx = make_session(sender_id=1, epoch=1)
+    tx.publish("chatter", b"under epoch 1")
+    # a new group epoch: new sender id, counter restart, new name key
+    tx.install_group(material(SEED_A, "", 2), 7, 1.0)
+    rx = Session(GROUP, ("chatter",))
+    rx.install_group(material(SEED_A, "", 2), 8, 1.0)
+    rx.install_channel("chatter", material(SEED_CH, "chatter", 1), 1.0)
+    (d,) = tx.publish("chatter", b"group epoch 2", 1.0)
+    assert decode_secure(d).sender_id == 7 and decode_secure(d).seqno == 0
+    assert rx.receive(d, 1.0) == ("chatter", b"group epoch 2")
+    # a new channel key: the next publish seals under it alone
+    tx.install_channel("chatter", material(SEED_CH, "chatter", 3), 2.0)
+    only_new = Session(GROUP, ("chatter",))
+    only_new.install_group(material(SEED_A, "", 2), 9, 2.0)
+    only_new.install_channel("chatter", material(SEED_CH, "chatter", 3),
+                             2.0)
+    (d,) = tx.publish("chatter", b"channel epoch 3", 2.0)
+    assert only_new.receive(d, 2.0) == ("chatter", b"channel epoch 3")
+
+
+def test_unsubscribing_takes_effect_at_once():
+    tx = make_session(sender_id=1)
+    rx = make_session(sender_id=2)
+    (d,) = tx.publish("chatter", b"first")
+    assert rx.receive(d) == ("chatter", b"first")
+    rx.subscriptions.discard("chatter")
+    (d,) = tx.publish("chatter", b"second")
+    assert rx.receive(d) is None
+    assert rx.stats.drops == {"unsubscribed": 1}
+
+
 def test_fragmented_round_trip():
     tx = make_session(mtu=700)
     rx = make_session(sender_id=2)
