@@ -181,10 +181,9 @@ def decode_fragment(data: bytes) -> FragmentPacket:
         raise BadMagic(hex(magic))
     if total == 0 or no >= total:
         raise InconsistentFragment(f"fragment {no} of {total}")
-    return FragmentPacket(seqno=seqno, sender_id=sender,
-                          full_body_length=full_len, fragment_offset=offset,
-                          fragment_no=no, fragments_total=total,
-                          section=data[FRAGMENT_HEADER_LEN:])
+    # positional: keyword construction costs twice as much per datagram
+    return FragmentPacket(seqno, sender, full_len, offset, no, total,
+                          data[FRAGMENT_HEADER_LEN:])
 
 
 def check_sendable(name_len: int, body_len: int, mtu: int):
@@ -223,20 +222,14 @@ def fragment(enc_channelname: bytes, body: bytes, seqno: int, sender_id: int,
                              tail=enc_channelname + body)]
     cap = mtu - FRAGMENT_HEADER_LEN
     first_cap = cap - len(enc_channelname)
-    bounds = [min(first_cap, len(body))]
-    while bounds[-1] < len(body):
-        bounds.append(min(bounds[-1] + cap, len(body)))
-    total = len(bounds)
-    out: list[SecurePacket | FragmentPacket] = []
-    start = 0
-    for no, end in enumerate(bounds):
-        chunk = body[start:end]
-        section = enc_channelname + chunk if no == 0 else chunk
-        out.append(FragmentPacket(
-            seqno=seqno, sender_id=sender_id, full_body_length=len(body),
-            fragment_offset=start, fragment_no=no, fragments_total=total,
-            section=section))
-        start = end
+    n = len(body)
+    total = 1 + -(-max(0, n - first_cap) // cap)
+    out: list[SecurePacket | FragmentPacket] = [FragmentPacket(
+        seqno, sender_id, n, 0, 0, total,
+        enc_channelname + body[:first_cap])]
+    for no, start in enumerate(range(first_cap, n, cap), 1):
+        out.append(FragmentPacket(seqno, sender_id, n, start, no, total,
+                                  body[start:start + cap]))
     return out
 
 
@@ -343,31 +336,33 @@ class ReassemblyBuffer:
 
     def add(self, f: FragmentPacket, now: float
             ) -> tuple[bytes, bytes] | None:
-        key = (f.sender_id, f.seqno)
+        seqno, sender_id, full_len, offset, no, total, section = f
+        key = (sender_id, seqno)
         slot = self._slots.get(key)
         if slot is None:
             slot = self._open(key, f, now)
-        if (f.full_body_length, f.fragments_total) != (slot.full_len,
-                                                       slot.total):
+        if full_len != slot.full_len or total != slot.total:
             self._drop(key)
             raise InconsistentFragment(
                 "conflicting totals for one message id")
-        prior = slot.parts.get(f.fragment_no)
+        parts = slot.parts
+        prior = parts.get(no)
         if prior is not None:
-            if prior != (f.fragment_offset, f.section):
+            if prior != (offset, section):
                 self._drop(key)
                 raise InconsistentFragment("conflicting duplicate fragment")
             return None
-        section_bytes = slot.section_bytes + len(f.section)
-        if section_bytes > slot.full_len + MAX_CHANNELNAME:
+        section_bytes = slot.section_bytes + len(section)
+        if section_bytes > full_len + MAX_CHANNELNAME:
             self._drop(key)
             raise InconsistentFragment("sections exceed declared length")
-        charge = FRAGMENT_OVERHEAD + len(f.section)
-        self._make_room(key, charge)
-        slot.parts[f.fragment_no] = (f.fragment_offset, f.section)
+        charge = FRAGMENT_OVERHEAD + len(section)
+        if self._stored + charge > REASSEMBLY_MAX_BYTES:
+            self._make_room(key, charge)
+        parts[no] = (offset, section)
         slot.section_bytes = section_bytes
         self._stored += charge
-        if len(slot.parts) < slot.total:
+        if len(parts) < total:
             return None
         return self._assemble(self._drop(key))
 
