@@ -356,7 +356,7 @@ class Session:
         self.stats.published += 1
         if len(payload) <= single_max:
             # single-datagram case, overwhelmingly common
-            return [pack_secure(seqno, sender_id, enc_name + body)]
+            return [pack_secure(seqno, sender_id, enc_name, body)]
         packets = wire.fragment(enc_name, body, seqno, sender_id, self.mtu)
         return [encode_secure(p) if isinstance(p, SecurePacket)
                 else encode_fragment(p) for p in packets]
@@ -368,12 +368,13 @@ class Session:
         """Decrypt one datagram; None means dropped (reason counted)."""
         fast = try_unpack_secure(datagram)
         if fast is not None:
-            seqno, sender_id, tail = fast
+            seqno, sender_id = fast
             if sender_id == self.sender_id:
                 # our own multicast loops back to us; nothing to deliver
                 self.stats.drop("own_echo")
                 return None
-            return self._open(seqno, sender_id, None, tail, now)
+            return self._open(seqno, sender_id, None, datagram, now,
+                              SECURE_HEADER_LEN)
         try:
             magic = peek_magic(datagram)
         except LcmsecError:
@@ -412,10 +413,13 @@ class Session:
         return None
 
     def _open(self, seqno: int, sender_id: int, enc_name: bytes | None,
-              sealed_tail: bytes, now: float) -> tuple[str, bytes] | None:
+              sealed_tail: bytes, now: float,
+              start: int = 0) -> tuple[str, bytes] | None:
         """Core pipeline: name under the group key, body under the channel
         key, then the replay check. ``enc_name`` is None for unfragmented
-        packets, whose name boundary only a group key holder can find."""
+        packets, whose name boundary only a group key holder can find; their
+        tail is ``sealed_tail`` from ``start`` on, so it is not copied out
+        of the datagram first."""
         group_keys = self.keys.group_keys(now)
         if not group_keys:
             self.stats.drop("no_group_key")
@@ -423,21 +427,21 @@ class Session:
         reason = "garbled_name"
         for k_g in group_keys:
             if enc_name is None:
-                bound = min(MAX_CHANNELNAME, len(sealed_tail) - 16)
+                bound = min(MAX_CHANNELNAME, len(sealed_tail) - start - 16)
                 # names are nearly always short: probe one keystream block
                 # before paying for the full 256-byte bound
                 plain = name_crypt(k_g, sender_id, seqno,
-                                   sealed_tail[:min(bound, 16)])
+                                   sealed_tail[start:start + min(bound, 16)])
                 nul = plain.find(0)
                 if nul < 0 and bound > 16:
                     plain = ctr_crypt(k_g, build_iv(k_g.salt, sender_id,
                                                     seqno),
-                                      sealed_tail[:bound])
+                                      sealed_tail[start:start + bound])
                     nul = plain.find(0)
                 if nul < 0:
                     continue
                 name_nul = plain[:nul + 1]
-                sealed = sealed_tail[nul + 1:]
+                sealed = sealed_tail[start + nul + 1:]
             else:
                 name_nul = name_crypt(k_g, sender_id, seqno, enc_name)
                 if not name_nul.endswith(b"\x00") or 0 in name_nul[:-1]:

@@ -107,21 +107,25 @@ def peek_magic(data: bytes) -> int:
 # ------------------------------------------------------------- secure packets
 
 
-def pack_secure(seqno: int, sender_id: int, tail: bytes) -> bytes:
-    return _SECURE_HDR.pack(MAGIC_SECURE, seqno, sender_id) + tail
+def pack_secure(seqno: int, sender_id: int, *tail: bytes) -> bytes:
+    """Header plus the tail, which may come in parts (the encrypted name,
+    then the body) so the datagram is copied together once."""
+    return b"".join((_SECURE_HDR.pack(MAGIC_SECURE, seqno, sender_id),
+                     *tail))
 
 
 def encode_secure(p: SecurePacket) -> bytes:
     return pack_secure(p.seqno, p.sender_id, p.tail)
 
 
-def try_unpack_secure(data: bytes) -> tuple[int, int, bytes] | None:
-    """Dispatch for the hot receive path: (seqno, sender_id, tail) when
-    ``data`` is a well-formed secure packet, else None."""
+def try_unpack_secure(data: bytes) -> tuple[int, int] | None:
+    """Dispatch for the hot receive path: (seqno, sender_id) when ``data``
+    is a well-formed secure packet, whose tail starts at
+    ``SECURE_HEADER_LEN``, else None."""
     if len(data) >= SECURE_HEADER_LEN + MIN_SECURE_TAIL:
         magic, seqno, sender = _SECURE_HDR.unpack_from(data)
         if magic == MAGIC_SECURE:
-            return seqno, sender, data[SECURE_HEADER_LEN:]
+            return seqno, sender
     return None
 
 
