@@ -51,7 +51,9 @@ class KeyMaterial:
     epoch: int
     scope: str
     #: cipher objects bound once: building them costs more than the block
-    #: work of one datagram, and the data path uses them for every datagram
+    #: work of one datagram, and the data path uses them for every datagram.
+    #: They are shared by every caller of this key; the package drives a
+    #: node's data path from one thread.
     gcm: AESGCM = field(init=False, repr=False, compare=False)
     ecb: object = field(init=False, repr=False, compare=False)
     #: sender id -> (first seqno, keystream blocks), see :meth:`run_ahead`
