@@ -8,6 +8,7 @@ management traffic. All block-cipher and signature work is delegated to the
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 
@@ -25,14 +26,6 @@ KEY_LEN = 16
 SALT_BITS = 16
 TAG_LEN = 16
 IV_LEN = 12
-
-#: first keystream blocks of one sender's next sequence numbers that one
-#: OpenSSL call computes ahead, see :meth:`KeyMaterial.run_ahead`
-NAME_RUN = 64
-#: senders whose runs one key keeps; reaching it starts the table afresh
-_RUNS_CAP = 256
-_SEQNO_MAX = 0xFFFFFFFF
-_COUNTER_BLOCK = struct.Struct(">HHI8x").pack
 
 #: sign/verify hash for management traffic
 _SIG_HASH = ec.ECDSA(hashes.SHA256())
@@ -56,8 +49,6 @@ class KeyMaterial:
     #: node's data path from one thread.
     gcm: AESGCM = field(init=False, repr=False, compare=False)
     ecb: object = field(init=False, repr=False, compare=False)
-    #: sender id -> (first seqno, keystream blocks), see :meth:`run_ahead`
-    runs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.key) != KEY_LEN:
@@ -66,28 +57,6 @@ class KeyMaterial:
             raise ValueError("salt must fit in 16 bits")
         object.__setattr__(self, "gcm", AESGCM(self.key))
         object.__setattr__(self, "ecb", _ecb_encryptor(self.key))
-        object.__setattr__(self, "runs", {})
-
-    def run_ahead(self, sender_id: int, seqno: int):
-        """Make the sender's run cover ``seqno``, :data:`NAME_RUN` at a time.
-
-        A run holds keystream block 0 of the sender's next messages, which
-        covers a channel name of up to 16 bytes, so :func:`name_crypt` needs
-        no AES call for them. Called for own publishes and for messages that
-        authenticated only, so forged traffic never makes the key compute or
-        keep a run.
-        """
-        run = self.runs.get(sender_id)
-        if run is not None and 0 <= (seqno - run[0]) * 16 < len(run[1]):
-            return
-        if seqno > _SEQNO_MAX:
-            return
-        if len(self.runs) >= _RUNS_CAP:
-            self.runs.clear()
-        salt = self.salt
-        end = min(seqno + NAME_RUN, _SEQNO_MAX + 1)
-        self.runs[sender_id] = (seqno, self.ecb.update(b"".join(
-            _COUNTER_BLOCK(salt, sender_id, s) for s in range(seqno, end))))
 
 
 def _ecb_encryptor(key: bytes):
@@ -148,30 +117,6 @@ def _keystream_xor(enc, counter_block: bytes, data: bytes) -> bytes:
             ^ int.from_bytes(ks[:n], "big")).to_bytes(n, "big")
 
 
-def name_crypt(material: KeyMaterial, sender_id: int, seqno: int,
-               data: bytes) -> bytes:
-    """:func:`ctr_crypt` under IV (salt, sender_id, seqno), for names.
-
-    A name of up to 16 bytes takes its keystream from the sender's run when
-    :meth:`KeyMaterial.run_ahead` made one that covers ``seqno``.
-    """
-    n = len(data)
-    if n > 16:
-        return ctr_crypt(material, build_iv(material.salt, sender_id, seqno),
-                         data)
-    if not n:
-        return b""
-    run = material.runs.get(sender_id)
-    at = -1 if run is None else (seqno - run[0]) * 16
-    if 0 <= at < len(run[1]):
-        ks = run[1][at:at + n]
-    else:
-        ks = material.ecb.update(_COUNTER_BLOCK(material.salt, sender_id,
-                                                seqno))[:n]
-    return (int.from_bytes(data, "big")
-            ^ int.from_bytes(ks, "big")).to_bytes(n, "big")
-
-
 def ctr_crypt(material: KeyMaterial, iv: bytes, data: bytes) -> bytes:
     """AES-CTR stream encryption with the 96-bit IV and counter starting at 0.
 
@@ -199,17 +144,25 @@ def kdf_expand(session_seed: bytes, context: bytes, *, epoch: int = 0,
     return KeyMaterial(key=out[:KEY_LEN], salt=salt, epoch=epoch, scope=scope)
 
 
-def key_context(group: str, channel: str, instance_id: int,
-                group_instance: int = 0) -> bytes:
-    """Canonical KDF context for one agreement run.
-
-    Channel material also binds ``group_instance``, the group agreement it
-    is installed under, so every group commit re-keys every channel without
-    a channel agreement. The group's own material leaves it 0.
-    """
+def key_context(group: str, channel: str, instance_id: int) -> bytes:
+    """Canonical KDF context for one agreement run."""
     return (b"lcmsec-key\x00" + group.encode("ascii") + b"\x00"
-            + channel.encode("ascii") + b"\x00"
-            + struct.pack(">QQ", instance_id, group_instance))
+            + channel.encode("ascii") + b"\x00" + struct.pack(">Q", instance_id))
+
+
+def channel_key_context(group: str, channel: str, instance_id: int,
+                        group_seed: bytes, group_instance: int) -> bytes:
+    """KDF context for channel material installed under one group agreement.
+
+    It binds that agreement's instance id and a digest of its secret seed,
+    so every group commit re-keys every channel without a channel agreement.
+    Instance ids are public and unique only within one node's view: two
+    sides of a partition can each commit the same one. Their seeds differ,
+    so their channel keys do too.
+    """
+    return (key_context(group, channel, instance_id)
+            + struct.pack(">Q", group_instance)
+            + hashlib.sha256(group_seed).digest())
 
 
 def derive_join_scalar(previous_seed: bytes, instance_id: int) -> int:

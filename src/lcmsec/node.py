@@ -3,10 +3,10 @@
 One node runs a discovery driver for the group scope plus one per channel
 it participates in. Group commits assign the sender id, reset the shared
 send counter and, in the same call, re-derive every keyed channel's payload
-key from its unchanged seed under the new group instance (the counter reset
-would otherwise repeat IVs). Channel agreements run only when a member
-enters that channel; their commits install payload keys under the current
-group instance. The node itself never touches a socket or a clock:
+key from its unchanged seed under the new group agreement's seed and
+instance id (the counter reset would otherwise repeat IVs). Channel
+agreements run only when a member enters that channel; their commits
+install payload keys under the current group agreement. The node itself never touches a socket or a clock:
 datagrams and timestamps are handed in, and outbound datagrams are handed
 back.
 """
@@ -17,7 +17,7 @@ import logging
 import random
 
 from . import wire
-from .crypto import kdf_expand, key_context
+from .crypto import channel_key_context, kdf_expand, key_context
 from .discovery import ChainVerdicts, CommitResult, DiscoveryDriver, Phase
 from .errors import CounterExhausted, LcmsecError
 from .gka import InstanceLedger, LocalIdentity
@@ -208,9 +208,10 @@ class LcmsecNode:
 
     def _channel_material(self, channel: str, result: CommitResult):
         """Payload key from the channel seed under the current group
-        instance; a channel commits only after the group has."""
+        agreement; a channel commits only after the group has."""
         group = self._group_result
         return kdf_expand(
-            result.seed, key_context(self.group, channel, result.instance_id,
-                                     group.instance_id),
+            result.seed, channel_key_context(
+                self.group, channel, result.instance_id, group.seed,
+                group.instance_id),
             epoch=material_epoch(group.epoch, result.epoch), scope=channel)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import wire
 from .crypto import (TAG_LEN, KeyMaterial, aead_seal, aead_open, build_iv,
-                     ctr_crypt, name_crypt)
+                     ctr_crypt)
 from .errors import (AuthFailure, BadName, CounterExhausted, LcmsecError,
                      NoKey, NotAuthorized, TooShort)
 from .identity import LCMDomain, PeerCertificate, authorize
@@ -349,8 +349,8 @@ class Session:
             wire.check_sendable(len(name_nul), len(payload) + TAG_LEN,
                                 self.mtu)
         seqno = self.counter.next()
-        k_g.run_ahead(sender_id, seqno)
-        enc_name = name_crypt(k_g, sender_id, seqno, name_nul)
+        enc_name = ctr_crypt(k_g, build_iv(k_g.salt, sender_id, seqno),
+                             name_nul)
         body = aead_seal(k_ch, build_iv(k_ch.salt, sender_id, seqno),
                          payload, aad=name_nul)
         self.stats.published += 1
@@ -426,16 +426,17 @@ class Session:
             return None
         reason = "garbled_name"
         for k_g in group_keys:
+            iv_g = build_iv(k_g.salt, sender_id, seqno)
             if enc_name is None:
                 bound = min(MAX_CHANNELNAME, len(sealed_tail) - start - 16)
                 # names are nearly always short: probe one keystream block
                 # before paying for the full 256-byte bound
-                plain = name_crypt(k_g, sender_id, seqno,
-                                   sealed_tail[start:start + min(bound, 16)])
+                probe = min(bound, 16)
+                plain = ctr_crypt(k_g, iv_g,
+                                  sealed_tail[start:start + probe])
                 nul = plain.find(0)
-                if nul < 0 and bound > 16:
-                    plain = ctr_crypt(k_g, build_iv(k_g.salt, sender_id,
-                                                    seqno),
+                if nul < 0 and probe < bound:
+                    plain = ctr_crypt(k_g, iv_g,
                                       sealed_tail[start:start + bound])
                     nul = plain.find(0)
                 if nul < 0:
@@ -443,7 +444,7 @@ class Session:
                 name_nul = plain[:nul + 1]
                 sealed = sealed_tail[start + nul + 1:]
             else:
-                name_nul = name_crypt(k_g, sender_id, seqno, enc_name)
+                name_nul = ctr_crypt(k_g, iv_g, enc_name)
                 if not name_nul.endswith(b"\x00") or 0 in name_nul[:-1]:
                     continue
                 sealed = sealed_tail
@@ -476,8 +477,6 @@ class Session:
                 if not window.check(seqno):
                     self.stats.drop("replayed")
                     return None
-                # the sender is genuine: its next names decrypt from a run
-                k_g.run_ahead(sender_id, seqno + 1)
                 self.stats.delivered += 1
                 return channel, payload
         self.stats.drop(reason)

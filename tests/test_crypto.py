@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmsec import crypto
-from lcmsec.crypto import (NAME_RUN, KeyMaterial, aead_open, aead_seal,
-                           build_iv, ctr_crypt, ctr_xor, derive_join_scalar,
-                           hkdf_bytes, kdf_expand, key_context, name_crypt,
-                           sign, verify)
+from lcmsec.crypto import (KeyMaterial, aead_open, aead_seal, build_iv,
+                           channel_key_context, ctr_crypt, ctr_xor,
+                           derive_join_scalar, hkdf_bytes, kdf_expand,
+                           key_context, sign, verify)
 from lcmsec.ecgroup import P256_ORDER
 from lcmsec.errors import AuthFailure, TooShort
 
@@ -191,40 +191,6 @@ def test_ctr_keystream_matches_crypt():
     assert bytes(a ^ b for a, b in zip(ks, data)) == ctr_crypt(km, iv, data)
 
 
-@given(st.integers(0, 0xFFFF), st.integers(0, 0xFFFFFFFF),
-       st.integers(-3, NAME_RUN + 3), st.binary(max_size=24))
-@settings(max_examples=200, deadline=None)
-def test_name_crypt_equals_ctr_crypt_in_and_out_of_runs(sender, start, step,
-                                                        name):
-    km = KeyMaterial(key=b"n" * 16, salt=0x5A5A, epoch=1, scope="")
-    seqno = min(max(start + step, 0), 0xFFFFFFFF)
-    expected = ctr_crypt(km, build_iv(km.salt, sender, seqno), name)
-    assert name_crypt(km, sender, seqno, name) == expected    # no run yet
-    km.run_ahead(sender, start)
-    # the run stops short of the top of the sequence space
-    assert name_crypt(km, sender, seqno, name) == expected
-    km.run_ahead(sender + 1 & 0xFFFF, seqno)     # another sender's run
-    assert name_crypt(km, sender, seqno, name) == expected
-
-
-def test_run_ahead_refills_only_outside_the_run_and_stays_bounded():
-    km = KeyMaterial(key=b"r" * 16, salt=3, epoch=1, scope="")
-    km.run_ahead(9, 100)
-    run = km.runs[9]
-    for seqno in (99, 100, 100 + NAME_RUN - 1, 100 + NAME_RUN):
-        assert name_crypt(km, 9, seqno, b"chan\x00") == ctr_crypt(
-            km, build_iv(3, 9, seqno), b"chan\x00")
-    km.run_ahead(9, 100 + NAME_RUN - 1)
-    assert km.runs[9] is run
-    km.run_ahead(9, 100 + NAME_RUN)
-    assert km.runs[9][0] == 100 + NAME_RUN
-    km.run_ahead(9, 0x100000000)        # past the 32-bit sequence space
-    assert km.runs[9][0] == 100 + NAME_RUN
-    for sender in range(1000):
-        km.run_ahead(sender, 0)
-    assert 0 < len(km.runs) <= crypto._RUNS_CAP
-
-
 # ---------------------------------------------------------------------- KDF
 
 
@@ -262,6 +228,15 @@ def test_key_context_separates_scopes():
     assert key_context("g", "a", 1) != key_context("g", "b", 1)
     assert key_context("g", "a", 1) != key_context("g", "a", 2)
     assert key_context("g1", "", 1) != key_context("g2", "", 1)
+    # channel material also binds the group agreement it is installed
+    # under: its instance id, and its seed, which two sides of a partition
+    # that commit the same instance id do not share
+    base = channel_key_context("g", "a", 1, b"seed-A", 7)
+    assert base != channel_key_context("g", "a", 1, b"seed-A", 8)
+    assert base != channel_key_context("g", "a", 1, b"seed-B", 7)
+    assert base != channel_key_context("g", "b", 1, b"seed-A", 7)
+    assert base != channel_key_context("g", "a", 2, b"seed-A", 7)
+    assert base.startswith(key_context("g", "a", 1))
 
 
 def test_key_material_validation():

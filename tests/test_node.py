@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -156,6 +157,25 @@ def test_counter_exhaustion_forces_rekey_and_resumes(make_cluster):
     runner.publish(0, "chatter", b"back on the air")
     runner.run_until(net.now + 1.0)
     assert ("chatter", b"back on the air") in nodes[1].take_deliveries()
+
+
+def test_channel_key_binds_the_group_seed_not_only_its_instance(
+        make_cluster):
+    # two sides of a partition can each commit the same public group
+    # instance id, with different members and overlapping sender ids;
+    # their channel keys must still differ
+    net, runner, nodes = make_cluster(2, seed=5)
+    runner.start_all()
+    assert settle(runner, nodes)
+    node = nodes[0]
+    group, channel = node._group_result, node._channel_results["chatter"]
+    keys = []
+    for seed in (group.seed, bytes(len(group.seed))):
+        node._group_result = dataclasses.replace(group, seed=seed)
+        keys.append(node._channel_material("chatter", channel).key)
+    installed = node.session.keys.channel_keys("chatter", net.now)[0]
+    assert keys[0] == installed.key
+    assert keys[1] != keys[0]
 
 
 def publish_until(runner, net, senders, channels, done):

@@ -282,25 +282,6 @@ def test_bit_flips_never_corrupt():
     assert rx.stats.delivered == 400
 
 
-def test_only_authenticated_senders_get_name_runs():
-    rng = random.Random(5)
-    tx = make_session(sender_id=1)
-    rx = make_session(sender_id=2)
-    (d,) = tx.publish("chatter", b"genuine")
-    name_key = rx.keys.group_keys(0.0)[0]
-    for _ in range(200):
-        forged = bytearray(d)
-        forged[8:10] = rng.randrange(3, 0x10000).to_bytes(2, "big")
-        forged[4:8] = rng.randbytes(4)
-        assert rx.receive(bytes(forged)) is None
-        flipped = bytearray(d)
-        flipped[rng.randrange(10, len(d))] ^= 1 << rng.randrange(8)
-        assert rx.receive(bytes(flipped)) is None
-    assert name_key.runs == {}
-    assert rx.receive(d) == ("chatter", b"genuine")
-    assert set(name_key.runs) == {1}
-
-
 def test_publish_follows_every_install():
     tx = make_session(sender_id=1, epoch=1)
     tx.publish("chatter", b"under epoch 1")
