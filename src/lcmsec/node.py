@@ -6,9 +6,9 @@ send counter and, in the same call, re-derive every keyed channel's payload
 key from its unchanged seed under the new group agreement's seed and
 instance id (the counter reset would otherwise repeat IVs). Channel
 agreements run only when a member enters that channel; their commits
-install payload keys under the current group agreement. The node itself never touches a socket or a clock:
-datagrams and timestamps are handed in, and outbound datagrams are handed
-back.
+install payload keys under the current group agreement. The node itself
+never touches a socket or a clock: datagrams and timestamps are handed in,
+and outbound datagrams are handed back.
 """
 
 from __future__ import annotations
