@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import queue
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import lcmsec
 from lcmsec.cli import main
 from lcmsec.identity import PeerCertificate
 
@@ -128,3 +136,66 @@ def test_bench_latency_source_needs_config_or_sim(capsys):
 
 def test_bench_latency_no_simulated_reflector(capsys):
     assert run(capsys, "bench-latency", "--role", "reflector", "--sim")[0] == 2
+
+
+def test_demo_pub_line_reaches_sub_over_udp(tmp_path, capsys):
+    # the success path end to end: two processes, real loopback multicast
+    cadir = tmp_path / "authority"
+    run(capsys, "ca", "init", "--dir", str(cadir))
+    pid = os.getpid()
+    group = f"239.255.97.{pid % 250 + 1}:{7920 + pid % 64}"
+    confs = {}
+    for who in ("pub", "sub"):
+        code, out = issue(capsys, cadir, group, out=tmp_path / who)
+        assert code == 0
+        cert_path, key_path = out.splitlines()
+        confs[who] = tmp_path / f"{who}.conf"
+        confs[who].write_text(f"group = {group}\n"
+                              f"channels = chatter\n"
+                              f"cert = {cert_path}\n"
+                              f"key = {key_path}\n"
+                              f"roots = {cadir / 'root.pem'}\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(lcmsec.__file__).resolve().parent.parent))
+
+    logs = {role: (tmp_path / f"{role}.log").open("w")
+            for role in ("pub", "sub")}
+
+    def demo(role, **kw):
+        return subprocess.Popen(
+            [sys.executable, "-m", "lcmsec.cli", "demo", role,
+             "--config", str(confs[role]), "--timeout", "30"],
+            env=env, text=True, stderr=logs[role], **kw)
+
+    sub = demo("sub", stdout=subprocess.PIPE)
+    pub = demo("pub", stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
+    printed = queue.SimpleQueue()
+    threading.Thread(target=lambda: [printed.put(line)
+                                     for line in sub.stdout],
+                     daemon=True).start()
+    try:
+        # lines published before the subscriber holds keys are lost, so
+        # keep sending until one arrives
+        sent, heard = [], None
+        deadline = time.monotonic() + 60
+        while heard is None and time.monotonic() < deadline:
+            sent.append(f"hello {len(sent)}")
+            pub.stdin.write(sent[-1] + "\n")
+            pub.stdin.flush()
+            try:
+                heard = printed.get(timeout=0.5).rstrip("\n")
+            except queue.Empty:
+                pass
+        assert heard in {f"chatter: {line}" for line in sent}, (
+            heard, (tmp_path / "sub.log").read_text(),
+            (tmp_path / "pub.log").read_text())
+        pub.stdin.close()
+        assert pub.wait(timeout=15) == 0
+    finally:
+        for proc in (pub, sub):
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+        sub.stdout.close()
+        for log in logs.values():
+            log.close()
