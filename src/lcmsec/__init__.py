@@ -7,8 +7,18 @@ identities, with no broker or key server on the data path.
 
 from .errors import LcmsecError
 from .node import LcmsecNode
-from .session import SessionConfig, load_config, parse_config
 
 __all__ = ["LcmsecError", "LcmsecNode", "SessionConfig", "load_config",
            "parse_config"]
 __version__ = "0.1.0"
+
+_CONFIG_NAMES = ("SessionConfig", "load_config", "parse_config")
+
+
+def __getattr__(name):
+    # the config file belongs to the command line tools; importing them on
+    # first use keeps ``python -m lcmsec.cli`` from loading that module twice
+    if name in _CONFIG_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

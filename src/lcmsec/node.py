@@ -148,9 +148,12 @@ class LcmsecNode:
         try:
             return self.session.publish(channel, payload, now)
         except CounterExhausted:
-            log.warning("%s: send counter exhausted, forcing a re-key",
-                        self.group)
-            self._group_driver.force_rekey(now)
+            # retries refused while that re-key runs neither log nor
+            # schedule again
+            if self._group_driver.phase is Phase.COMMITTED:
+                log.warning("%s: send counter exhausted, forcing a re-key",
+                            self.group)
+                self._group_driver.force_rekey(now)
             raise
 
     # -------------------------------------------------------------- internals

@@ -21,73 +21,14 @@ from .errors import (AuthFailure, BadName, CounterExhausted, LcmsecError,
 from .identity import LCMDomain, PeerCertificate, authorize
 from .wire import (MAGIC_FRAGMENT, MAGIC_PLAIN, MAGIC_SECURE,
                    MAGIC_MANAGEMENT, MAX_CHANNELNAME, SECURE_HEADER_LEN,
-                   ReassemblyBuffer, SecurePacket, decode_fragment,
-                   decode_secure, encode_fragment, encode_secure, pack_secure,
-                   peek_magic, try_unpack_secure)
+                   ReassemblyBuffer, decode_fragment, encode_fragment,
+                   pack_secure, peek_magic, try_unpack_secure)
 
 DEFAULT_MTU = 1400
 DEFAULT_WINDOW = 1024
 DEFAULT_GRACE = 10.0
 
 _SEQNO_LIMIT = 0xFFFFFFFF
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Static node configuration, parseable from key=value text."""
-
-    group: str
-    channels: tuple[str, ...] = ()
-    cert: str | None = None
-    key: str | None = None
-    roots: str | None = None
-    mtu: int = DEFAULT_MTU
-    replay_window: int = DEFAULT_WINDOW
-    epoch_grace: float = DEFAULT_GRACE
-    ttl: int = 0
-
-    def __post_init__(self):
-        if not self.group:
-            raise ValueError("group is required")
-        if self.replay_window <= 0 or self.replay_window % 32:
-            raise ValueError("replay_window must be a positive multiple "
-                             "of 32")
-        if self.mtu < 64:
-            raise ValueError(f"mtu {self.mtu} is below the 64-byte floor")
-
-
-_CONFIG_FIELDS = {
-    "group": str, "channels": str, "cert": str, "key": str, "roots": str,
-    "mtu": int, "replay_window": int, "epoch_grace": float, "ttl": int,
-}
-
-
-def parse_config(text: str) -> SessionConfig:
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            raise ValueError(f"line {lineno}: expected key = value")
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _CONFIG_FIELDS[key](value)
-    if "channels" in values:
-        names = [c.strip() for c in values["channels"].split(",") if c.strip()]
-        values["channels"] = tuple(names)
-    if "group" not in values:
-        raise ValueError("group is required")
-    return SessionConfig(**values)
-
-
-def load_config(path) -> SessionConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
 
 
 class SendCounter:
@@ -357,9 +298,8 @@ class Session:
         if len(payload) <= single_max:
             # single-datagram case, overwhelmingly common
             return [pack_secure(seqno, sender_id, enc_name, body)]
-        packets = wire.fragment(enc_name, body, seqno, sender_id, self.mtu)
-        return [encode_secure(p) if isinstance(p, SecurePacket)
-                else encode_fragment(p) for p in packets]
+        return [encode_fragment(p) for p in
+                wire.fragment(enc_name, body, seqno, sender_id, self.mtu)]
 
     # --------------------------------------------------------------- receive
 

@@ -245,11 +245,6 @@ class UdpEndpoint:
         self.sock.close()
 
 
-def udp_bind_multicast(group: str, *, interface: str = "0.0.0.0",
-                       ttl: int = 0) -> UdpEndpoint:
-    return UdpEndpoint(group, interface=interface, ttl=ttl)
-
-
 class UdpRunner:
     """Wall-clock loop pumping one node through a UdpEndpoint.
 

@@ -60,18 +60,6 @@ class MsgKind(IntEnum):
     GKA_ROUND2 = 4
 
 
-class SecurePacket(NamedTuple):
-    """Header fields plus the undifferentiated encrypted tail.
-
-    The tail is enc_channelname followed by the AEAD body; only a key holder
-    can find the boundary, so the codec never splits it.
-    """
-
-    seqno: int
-    sender_id: int
-    tail: bytes
-
-
 class FragmentPacket(NamedTuple):
     """One slice of an oversized secured message.
 
@@ -109,13 +97,13 @@ def peek_magic(data: bytes) -> int:
 
 def pack_secure(seqno: int, sender_id: int, *tail: bytes) -> bytes:
     """Header plus the tail, which may come in parts (the encrypted name,
-    then the body) so the datagram is copied together once."""
+    then the body) so the datagram is copied together once.
+
+    The tail is enc_channelname followed by the AEAD body; only a key
+    holder can find the boundary, so the codec never splits it.
+    """
     return b"".join((_SECURE_HDR.pack(MAGIC_SECURE, seqno, sender_id),
                      *tail))
-
-
-def encode_secure(p: SecurePacket) -> bytes:
-    return pack_secure(p.seqno, p.sender_id, p.tail)
 
 
 def try_unpack_secure(data: bytes) -> tuple[int, int] | None:
@@ -127,18 +115,6 @@ def try_unpack_secure(data: bytes) -> tuple[int, int] | None:
         if magic == MAGIC_SECURE:
             return seqno, sender
     return None
-
-
-def decode_secure(data: bytes) -> SecurePacket:
-    if len(data) < SECURE_HEADER_LEN:
-        raise Truncated(f"{len(data)} bytes, header needs {SECURE_HEADER_LEN}")
-    magic, seqno, sender = _SECURE_HDR.unpack_from(data)
-    if magic != MAGIC_SECURE:
-        raise BadMagic(hex(magic))
-    tail = data[SECURE_HEADER_LEN:]
-    if len(tail) < MIN_SECURE_TAIL:
-        raise Truncated(f"secure tail {len(tail)} < {MIN_SECURE_TAIL}")
-    return SecurePacket(seqno=seqno, sender_id=sender, tail=tail)
 
 
 # ---------------------------------------------------------- plaintext baseline
@@ -192,8 +168,8 @@ def decode_fragment(data: bytes) -> FragmentPacket:
 
 def check_sendable(name_len: int, body_len: int, mtu: int):
     """Raise OversizeMessage unless a sealed message with a ``name_len``
-    byte encrypted channel name and a ``body_len`` byte body can go out at
-    ``mtu`` and be reassembled by every receiver.
+    byte encrypted channel name and a ``body_len`` byte body can go out in
+    fragments at ``mtu`` and be reassembled by every receiver.
 
     Needs only lengths, so a sender can check before it spends a sequence
     number or seals anything.
@@ -201,8 +177,6 @@ def check_sendable(name_len: int, body_len: int, mtu: int):
     if body_len > MAX_MESSAGE_BODY:
         raise OversizeMessage(f"body of {body_len} bytes; receivers "
                               f"reassemble at most {MAX_MESSAGE_BODY}")
-    if SECURE_HEADER_LEN + name_len + body_len <= mtu:
-        return
     cap = mtu - FRAGMENT_HEADER_LEN
     first_cap = cap - name_len
     if first_cap < 1:
@@ -213,22 +187,20 @@ def check_sendable(name_len: int, body_len: int, mtu: int):
 
 
 def fragment(enc_channelname: bytes, body: bytes, seqno: int, sender_id: int,
-             mtu: int) -> list[SecurePacket | FragmentPacket]:
-    """Split one sealed message into datagram-sized packets.
+             mtu: int) -> list[FragmentPacket]:
+    """Cut one sealed message into fragments with maximal chunks.
 
-    Returns a single SecurePacket when everything fits in ``mtu``, otherwise
-    FragmentPackets with maximal chunks. Encryption already happened; this
-    only slices bytes. What ``check_sendable`` refuses is refused here too.
+    Encryption already happened; this only slices bytes. A message that
+    fits one datagram goes out as a secure packet (:func:`pack_secure`)
+    instead, but any message given is cut. What ``check_sendable`` refuses
+    is refused here too.
     """
     check_sendable(len(enc_channelname), len(body), mtu)
-    if SECURE_HEADER_LEN + len(enc_channelname) + len(body) <= mtu:
-        return [SecurePacket(seqno=seqno, sender_id=sender_id,
-                             tail=enc_channelname + body)]
     cap = mtu - FRAGMENT_HEADER_LEN
     first_cap = cap - len(enc_channelname)
     n = len(body)
     total = 1 + -(-max(0, n - first_cap) // cap)
-    out: list[SecurePacket | FragmentPacket] = [FragmentPacket(
+    out = [FragmentPacket(
         seqno, sender_id, n, 0, 0, total,
         enc_channelname + body[:first_cap])]
     for no, start in enumerate(range(first_cap, n, cap), 1):

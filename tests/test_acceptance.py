@@ -21,7 +21,8 @@ import time
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from lcmsec.cli import bench_discovery_run, bench_latency_udp_source
+from lcmsec.cli import (bench_discovery_run, bench_latency_udp_source,
+                        load_config)
 from lcmsec.crypto import KeyMaterial
 from lcmsec.discovery import DiscoveryState, compare, merge_max
 from lcmsec.gka import (GkaPhase, GkaSession, InstanceLedger, JoinMode,
@@ -31,7 +32,7 @@ from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
                              PeerCertificate, save_certificate,
                              save_private_key)
 from lcmsec.node import LcmsecNode
-from lcmsec.session import ReplayWindow, Session, load_config
+from lcmsec.session import ReplayWindow, Session
 from lcmsec.transport import SimNet, SimRunner
 from lcmsec.wire import encode_plain_lcm, parse_gka_payload
 

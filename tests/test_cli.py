@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import lcmsec
+from lcmsec import SessionConfig, parse_config
 from lcmsec.cli import main
 from lcmsec.identity import PeerCertificate
 
@@ -30,6 +31,41 @@ def issue(capsys, cadir, group, *, urn_tail="chatter:auto", out=None):
     if out:
         argv += ["--out", str(out)]
     return run(capsys, *argv)
+
+
+# --------------------------------------------------------------- config file
+
+
+def test_parse_config_roundtrip():
+    cfg = parse_config("""
+        # node settings
+        group = 239.255.76.67:7667
+        channels = chatter, status
+        mtu = 900          # small for tests
+        replay_window = 64
+        epoch_grace = 2.5
+        ttl = 1
+    """)
+    assert cfg.group == "239.255.76.67:7667"
+    assert cfg.channels == ("chatter", "status")
+    assert cfg.mtu == 900 and cfg.replay_window == 64
+    assert cfg.epoch_grace == 2.5 and cfg.ttl == 1
+
+
+def test_parse_config_rejects_junk():
+    with pytest.raises(ValueError):
+        parse_config("group = g\nbogus = 1")
+    with pytest.raises(ValueError):
+        parse_config("group = g\ngroup = h")
+    with pytest.raises(ValueError):
+        parse_config("channels = a")          # group missing
+    with pytest.raises(ValueError):
+        parse_config("group = g\nreplay_window = 100")   # not a 32-multiple
+    with pytest.raises(ValueError):
+        SessionConfig(group="239.255.76.67:7667", mtu=40)
+
+
+# ------------------------------------------------------------------------ ca
 
 
 def test_ca_init_then_issue_roundtrip(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import logging
 import random
 from collections import Counter
 
@@ -235,6 +236,21 @@ def test_rekeys_never_repeat_an_iv_and_deliver_the_gap(
         missed = [(ch, p) for i, ch, p in sent
                   if i != k and (ch, p) not in got]
         assert missed == []
+
+
+def test_exhaustion_warns_once_per_rekey(make_cluster, caplog):
+    net, runner, nodes = make_cluster(2, seed=11)
+    runner.start_all()
+    assert settle(runner, nodes)
+    nodes[0].session.counter.force(0xFFFFFFFF - 2)
+    with caplog.at_level(logging.WARNING, logger="lcmsec.node"):
+        # every publish refused until the re-key commits is retried
+        publish_until(runner, net, (0,), ("chatter",),
+                      lambda: all(n.ready and n.group_epoch == 2
+                                  for n in nodes))
+    warnings = [r for r in caplog.records
+                if "send counter exhausted" in r.getMessage()]
+    assert len(warnings) == 1
 
 
 def test_one_chain_check_per_peer_per_node(make_cluster, member_factory,

@@ -17,7 +17,6 @@ from lcmsec.transport import (
     SimRunner,
     UdpEndpoint,
     parse_group_address,
-    udp_bind_multicast,
 )
 
 
@@ -260,8 +259,8 @@ UDP_GROUP = "239.255.77.1:17771"
 
 
 def test_udp_loopback_roundtrip():
-    tx = udp_bind_multicast(UDP_GROUP)
-    rx = udp_bind_multicast(UDP_GROUP)
+    tx = UdpEndpoint(UDP_GROUP)
+    rx = UdpEndpoint(UDP_GROUP)
     try:
         tx.send(b"over the wire")
         got = None
@@ -277,7 +276,7 @@ def test_udp_loopback_roundtrip():
 
 def test_udp_sender_hears_itself():
     # loopback stays on so one-host demos and benches work
-    ep = udp_bind_multicast("239.255.77.2:17772")
+    ep = UdpEndpoint("239.255.77.2:17772")
     try:
         ep.send(b"echo?")
         assert ep.recv(timeout=1.0) == b"echo?"
@@ -286,7 +285,7 @@ def test_udp_sender_hears_itself():
 
 
 def test_udp_recv_timeout_returns_none():
-    ep = udp_bind_multicast("239.255.77.3:17773")
+    ep = UdpEndpoint("239.255.77.3:17773")
     try:
         assert ep.recv(timeout=0.05) is None
     finally:
@@ -295,11 +294,11 @@ def test_udp_recv_timeout_returns_none():
 
 def test_udp_bad_group_raises_socket_error():
     with pytest.raises(SocketError):
-        udp_bind_multicast("10.1.2.3:7667")     # unicast: membership fails
+        UdpEndpoint("10.1.2.3:7667")     # unicast: membership fails
 
 
 def test_udp_oversize_rejected():
-    ep = udp_bind_multicast("239.255.77.4:17774")
+    ep = UdpEndpoint("239.255.77.4:17774")
     try:
         with pytest.raises(Oversize):
             ep.send(b"x" * (MAX_DATAGRAM + 1))
@@ -314,3 +313,4 @@ def test_udp_ttl_option_applied():
                                   socket.IP_MULTICAST_TTL) == 3
     finally:
         ep.close()
+
