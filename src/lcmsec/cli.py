@@ -162,13 +162,11 @@ def _load_identity(cfg: SessionConfig) -> tuple[LocalIdentity, list]:
     return LocalIdentity(uid=uid, cert=cert, key=key), roots
 
 
-def _build_node(cfg: SessionConfig, channels=None,
+def _build_node(cfg: SessionConfig, channels,
                 node_cls=LcmsecNode) -> tuple[LcmsecNode, UdpEndpoint]:
     ident, roots = _load_identity(cfg)
-    node = node_cls(ident, roots, cfg.group,
-                    channels if channels is not None else cfg.channels,
-                    mtu=cfg.mtu, window_size=cfg.replay_window,
-                    grace=cfg.epoch_grace)
+    node = node_cls(ident, roots, cfg.group, channels, mtu=cfg.mtu,
+                    window_size=cfg.replay_window, grace=cfg.epoch_grace)
     return node, UdpEndpoint(cfg.group, ttl=cfg.ttl)
 
 
