@@ -627,8 +627,8 @@ def cmd_bench_latency(args) -> int:
 
 
 DISCOVERY_FIELDS = ["nodes", "seed", "mu_ms", "sigma_ms", "loss_pct",
-                    "joins", "join_responses", "converged", "keys_equal",
-                    "virtual_s"]
+                    "joins", "join_responses", "gka_rounds", "restarts",
+                    "converged", "keys_equal", "virtual_s"]
 
 
 def bench_discovery_run(n, seed, mu=0.025, sigma=0.005, loss=0.10,
@@ -637,6 +637,8 @@ def bench_discovery_run(n, seed, mu=0.025, sigma=0.005, loss=0.10,
 
     Every node runs the two agreements (group scope, then the channel) and
     the row records whether all of them ended with identical seeds.
+    ``gka_rounds`` counts round-1 and round-2 datagrams sent, ``restarts``
+    the failed agreements summed over every node and scope.
     """
     with tempfile.TemporaryDirectory() as tmp:
         ca = CertificateAuthority.create(Path(tmp))
@@ -667,6 +669,10 @@ def bench_discovery_run(n, seed, mu=0.025, sigma=0.005, loss=0.10,
                 "sigma_ms": sigma * 1000, "loss_pct": round(loss * 100, 1),
                 "joins": counts[wire.MsgKind.JOIN],
                 "join_responses": counts[wire.MsgKind.JOIN_RESPONSE],
+                "gka_rounds": (counts[wire.MsgKind.GKA_ROUND1]
+                               + counts[wire.MsgKind.GKA_ROUND2]),
+                "restarts": sum(d.stats.get("agreements_failed", 0)
+                                for nd in nodes for d in nd._all_drivers()),
                 "converged": int(converged), "keys_equal": int(keys_equal),
                 "virtual_s": round(net.now, 3)}
 

@@ -18,6 +18,12 @@ first; a message that would leave the view, the instance floor and any
 running agreement as they are is dropped as ``no_news`` unverified. An
 unverified message never changes state, raises a floor, triggers help or
 draws from the RNG.
+
+Periodic resends stop once a peer has shown it holds what they carry, as
+in Trickle (RFC 6206). A gathering node skips its next view gossip tick
+after another node sent it an authenticated copy of its own view and
+floor, and a joining node stops re-announcing once an authenticated view
+from another node lists it among the joiners.
 """
 
 from __future__ import annotations
@@ -199,6 +205,9 @@ class DiscoveryDriver:
         self._response_at: float | None = None
         self._join_resend_at: float | None = None
         self._gossip_at: float | None = None
+        #: (view, floor) another node sent authenticated since the last
+        #: gossip tick; the next tick is skipped while they are still ours
+        self._echo: tuple[DiscoveryState, int] | None = None
         self._help_instance = 0            # last completed instance
         self._help_ring: set[int] = set()
         self._help_envs: list[ManagementEnvelope] = []
@@ -230,6 +239,9 @@ class DiscoveryDriver:
 
     def handle(self, env: ManagementEnvelope, now: float
                ) -> list[ManagementEnvelope]:
+        if env.signer_ref == self.identity.cert.fingerprint:
+            # multicast loops our own traffic back; it holds nothing new
+            return self._drop("own_echo")
         if (env.group, env.channel) != (self.scope.group, self.scope.channel):
             return self._drop("wrong_scope")
         if env.kind is MsgKind.JOIN:
@@ -257,8 +269,12 @@ class DiscoveryDriver:
             if self._gossip_at is None:
                 self._arm_gossip(now)
             elif now >= self._gossip_at:
+                echoed = self._echoed()
                 self._arm_gossip(now)
-                out.append(self._view_response())
+                if echoed:
+                    self._drop("gossip_echoed")
+                else:
+                    out.append(self._view_response())
         else:
             self._gossip_at = None
         if self.phase is Phase.GATHERING and self._now_ms(now) >= \
@@ -412,17 +428,43 @@ class DiscoveryDriver:
         incoming = DiscoveryState(participants=participants, joining=joining,
                                   t_ms=t_ms)
         merged = merge_max(self.state, incoming)
-        if merged is self.state and floor <= self.ledger.floor(self.scope):
-            return self._drop("no_news")
+        floor_now = self.ledger.floor(self.scope)
+        if merged is self.state and floor <= floor_now:
+            # an equal view and floor is news only to the gossip timer,
+            # and one verified copy per tick is enough to skip that tick
+            if (self.phase is not Phase.GATHERING or floor != floor_now
+                    or self._echoed() or compare(incoming, self.state)):
+                return self._drop("no_news")
+            if not verify_envelope(env, signer[1]):
+                return self._drop("bad_signature")
+            self._note_view(incoming, floor)
+            return self._drop("view_echo")
         if not verify_envelope(env, signer[1]):
             return self._drop("bad_signature")
         self.ledger.record_attempt(self.scope, floor)
         if merged is not self.state:
             self.state = self._keep_self(merged)
-            if self.phase is Phase.COMMITTED and self.state.joining:
+            if self.phase is Phase.COMMITTED and \
+                    self.state.t_ms != T_SENTINEL:
+                # a re-key is gathering, with or without joiners: freeze
+                # with it, or it runs without this member and fails
                 self.phase = Phase.GATHERING
                 self._arm_gossip(now)
+        self._note_view(incoming, floor)
         return []
+
+    def _note_view(self, view: DiscoveryState, floor: int) -> None:
+        """Another node's authenticated view: what it shows it holds."""
+        if self.identity.uid in view.joining:
+            self._join_resend_at = None     # our JOIN has been heard
+        if floor == self.ledger.floor(self.scope) and \
+                compare(view, self.state) == 0:
+            self._echo = (self.state, floor)
+
+    def _echoed(self) -> bool:
+        echo = self._echo
+        return (echo is not None and echo[0] is self.state
+                and echo[1] == self.ledger.floor(self.scope))
 
     def _handle_gka(self, env: ManagementEnvelope, now: float
                     ) -> list[ManagementEnvelope]:
@@ -588,6 +630,7 @@ class DiscoveryDriver:
     def _arm_gossip(self, now: float) -> None:
         # jittered so a cohort entering a gathering together does not fire
         # in synchronized bursts
+        self._echo = None
         self._gossip_at = now + self.timing.view_gossip * (
             0.75 + self.rng.uniform(0.0, 0.5))
 

@@ -19,10 +19,11 @@ from .crypto import (TAG_LEN, KeyMaterial, aead_seal, aead_open, build_iv,
 from .errors import (AuthFailure, BadName, CounterExhausted, LcmsecError,
                      NoKey, NotAuthorized, TooShort)
 from .identity import LCMDomain, PeerCertificate, authorize
-from .wire import (MAGIC_FRAGMENT, MAGIC_PLAIN, MAGIC_SECURE,
-                   MAGIC_MANAGEMENT, MAX_CHANNELNAME, SECURE_HEADER_LEN,
-                   ReassemblyBuffer, decode_fragment, encode_fragment,
-                   pack_secure, peek_magic, try_unpack_secure)
+from .wire import (FRAGMENT_SENDER, MAGIC_FRAGMENT, MAGIC_PLAIN,
+                   MAGIC_SECURE, MAGIC_MANAGEMENT, MAX_CHANNELNAME,
+                   SECURE_HEADER_LEN, ReassemblyBuffer, decode_fragment,
+                   encode_fragment, pack_secure, peek_magic,
+                   try_unpack_secure)
 
 DEFAULT_MTU = 1400
 DEFAULT_WINDOW = 1024
@@ -325,13 +326,16 @@ class Session:
             self.stats.drop("truncated")
             return None
         if magic == MAGIC_FRAGMENT:
+            # our own looped-back fragments go on the header's sender id,
+            # before any parse or copy of the section
+            if len(datagram) >= FRAGMENT_SENDER.stop and int.from_bytes(
+                    datagram[FRAGMENT_SENDER], "big") == self.sender_id:
+                self.stats.drop("own_echo")
+                return None
             try:
                 frag = decode_fragment(datagram)
             except LcmsecError:
                 self.stats.drop("bad_fragment")
-                return None
-            if frag.sender_id == self.sender_id:
-                self.stats.drop("own_echo")
                 return None
             try:
                 assembled = self._reassembly.add(frag, now)

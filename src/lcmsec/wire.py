@@ -38,6 +38,8 @@ _SECURE_HDR = struct.Struct(">IIH")
 _FRAG_HDR = struct.Struct(">IIHIIHH")
 SECURE_HEADER_LEN = _SECURE_HDR.size          # 10
 FRAGMENT_HEADER_LEN = _FRAG_HDR.size          # 22
+#: the bytes of a fragment header that hold its sender id
+FRAGMENT_SENDER = slice(8, 10)
 #: smallest legal secure tail: one encrypted NUL plus the 16-byte tag
 MIN_SECURE_TAIL = 17
 #: bytes reassembly charges per stored fragment besides its section: what

@@ -148,6 +148,8 @@ def test_bench_discovery_emits_csv(capsys):
     assert row["nodes"] == "2" and row["converged"] == "1"
     assert row["keys_equal"] == "1"
     assert int(row["joins"]) > 0 and int(row["join_responses"]) > 0
+    # two nodes, two agreements (group, then the channel), two rounds each
+    assert int(row["gka_rounds"]) >= 8 and row["restarts"] == "0"
     assert float(row["virtual_s"]) < 30
 
 

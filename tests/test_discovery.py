@@ -3,6 +3,7 @@ join / freeze / agree / commit lifecycle over an in-memory network."""
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import functools
 import itertools
@@ -530,10 +531,10 @@ def test_committed_driver_ignores_replayed_response(make_drivers):
     drivers = make_drivers([1, 2], seed_base=41)
     sent = {}
     t = run_network(drivers, sent=sent)
-    replay = [e for outs in sent.values() for e in outs
-              if e.kind is MsgKind.JOIN_RESPONSE]
-    assert replay
     a = drivers[0]
+    # a peer's response: a's own would be dropped as an echo first
+    replay = [e for e in sent[2] if e.kind is MsgKind.JOIN_RESPONSE]
+    assert replay
     key_before = a.state.sort_key()
     deliver([a], replay[:1], t + 5.0)
     assert a.stats["stale_response"] == 1
@@ -641,6 +642,99 @@ def test_forged_response_with_news_costs_one_verification(make_drivers,
     # the genuine one carries the same news and is taken
     assert a.handle(env, 0.1) == []
     assert set(a.state.joining) == {1, 2, 3}
+
+
+# ------------------------------------ resends only while a peer lacks them
+
+
+def kinds(envs):
+    return [e.kind for e in envs]
+
+
+def test_own_echoes_dropped_before_any_check(make_drivers, verify_calls):
+    drivers = make_drivers([1, 2, 3], seed_base=51)
+    sent = {}
+    t = run_network(drivers, sent=sent)
+    every_kind = {MsgKind.JOIN, MsgKind.JOIN_RESPONSE, MsgKind.GKA_ROUND1,
+                  MsgKind.GKA_ROUND2}
+    a = next(d for d in drivers
+             if every_kind <= set(kinds(sent[d.identity.uid])))
+    own = sent[a.identity.uid]
+    before = a.stats["own_echo"]
+    verify_calls.clear()
+    # a's own rounds looped back used to buy straggler help
+    for env in own:
+        assert a.handle(env, t + 0.01) == []
+    assert verify_calls == []
+    assert a.stats["own_echo"] - before == len(own)
+
+
+def gathering_pair(make_drivers):
+    """a and b gathering with equal views; returns (a, b's view)."""
+    a, b = make_drivers([1, 2])
+    ja, jb = a.initiate_join(0.0), b.initiate_join(0.0)
+    deliver([a], jb, 0.0)
+    deliver([b], ja, 0.0)
+    a.on_timer(a._response_at)
+    view = b.on_timer(b._response_at)
+    assert kinds(view) == [MsgKind.JOIN_RESPONSE]
+    assert a.state.canonical() == b.state.canonical()
+    return a, view[0]
+
+
+def test_forged_copy_of_own_view_does_not_skip_gossip(make_drivers,
+                                                      verify_calls):
+    a, view = gathering_pair(make_drivers)
+    forged = dataclasses.replace(view,
+                                 signature=bytes(reversed(view.signature)))
+    verify_calls.clear()
+    for _ in range(3):
+        assert a.handle(forged, 0.105) == []
+    assert len(verify_calls) == 3 and a.stats["bad_signature"] == 3
+    assert MsgKind.JOIN_RESPONSE in kinds(a.on_timer(a._gossip_at))
+    # the genuine copy skips the next tick; one verification per tick
+    verify_calls.clear()
+    for _ in range(3):
+        assert a.handle(view, a.state.t_ms / 1000 - 0.3) == []
+    assert len(verify_calls) == 1 and a.stats["view_echo"] == 1
+    assert MsgKind.JOIN_RESPONSE not in kinds(a.on_timer(a._gossip_at))
+    assert a.stats["gossip_echoed"] == 1
+    # nobody repeated the view since: the tick after sends it again
+    assert MsgKind.JOIN_RESPONSE in kinds(a.on_timer(a._gossip_at))
+
+
+def test_differing_view_never_skips_gossip(make_drivers, verify_calls):
+    a, b, c = make_drivers([1, 2, 3])
+    a.initiate_join(0.0)
+    jb, jc = b.initiate_join(0.0), c.initiate_join(0.0)
+    deliver([a], jb + jc, 0.0)
+    a.on_timer(a._response_at)              # a's view: {1, 2, 3}
+    deliver([b], jc, 0.0)
+    smaller = b.on_timer(b._response_at)    # b's view: {2, 3}
+    verify_calls.clear()
+    assert a.handle(smaller[0], 0.105) == []
+    assert verify_calls == [] and a.stats["no_news"] == 1
+    assert MsgKind.JOIN_RESPONSE in kinds(a.on_timer(a._gossip_at))
+
+
+def test_joiner_stops_announcing_once_a_view_lists_it(make_drivers):
+    a, b = make_drivers([1, 2])
+    ja = a.initiate_join(0.0)
+    b.initiate_join(0.0)
+    assert MsgKind.JOIN in kinds(a.on_timer(0.2))
+    deliver([b], ja, 0.2)
+    deliver([a], b.on_timer(b._response_at), 0.3)
+    assert 1 in a.state.joining
+    sent = []
+    now = 0.3
+    while a.phase is Phase.GATHERING:
+        now = a.next_wakeup()
+        sent += a.on_timer(now)
+    assert MsgKind.JOIN not in kinds(sent)
+    # a restart announces again, and keeps announcing until heard
+    a._restart_after_failure("test")
+    assert kinds(a._restart(now)) == [MsgKind.JOIN]
+    assert MsgKind.JOIN in kinds(a.on_timer(now + 0.2))
 
 
 @pytest.fixture

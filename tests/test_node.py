@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import logging
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ from lcmsec import discovery, session, wire
 from lcmsec.errors import CounterExhausted, NoKey
 from lcmsec.gka import LocalIdentity
 from lcmsec.node import LcmsecNode
-from lcmsec.transport import SimNet, SimRunner
+from lcmsec.transport import SimNet, SimRunner, UdpEndpoint, UdpRunner
 
 _group_counter = itertools.count(1)
 
@@ -160,6 +161,29 @@ def test_counter_exhaustion_forces_rekey_and_resumes(make_cluster):
     assert ("chatter", b"back on the air") in nodes[1].take_deliveries()
 
 
+def failed_agreements(nodes) -> int:
+    return sum(d.stats.get("agreements_failed", 0)
+               for n in nodes for d in n._all_drivers())
+
+
+@pytest.mark.parametrize("n, seed", [(2, 3), (4, 7)])
+def test_forced_rekey_freezes_every_member(make_cluster, n, seed):
+    net, runner, nodes = make_cluster(n, seed=seed)
+    runner.start_all()
+    assert settle(runner, nodes)
+    t0 = net.now
+    nodes[0].session.counter.force(0xFFFFFFFF)
+    with pytest.raises(CounterExhausted):
+        nodes[0].publish("chatter", b"spent", t0)
+    # the committed peers adopt the re-key's view and freeze with it, so
+    # the agreement does not first run without them and time out
+    assert runner.run_while(
+        lambda: not all(nd.ready and nd.group_epoch == 2 for nd in nodes),
+        t_max=t0 + 30.0, step=0.005)
+    assert failed_agreements(nodes) == 0
+    assert net.now - t0 < 1.0
+
+
 def test_channel_key_binds_the_group_seed_not_only_its_instance(
         make_cluster):
     # two sides of a partition can each commit the same public group
@@ -278,6 +302,84 @@ def test_one_chain_check_per_peer_per_node(make_cluster, member_factory,
     # the group and both channel scopes share one verdict per certificate
     assert calls == {n.identity.cert.fingerprint: len(everyone) - 1
                      for n in everyone}
+
+
+def test_join_into_twelve_sends_under_half_the_views(make_cluster,
+                                                    member_factory, roots):
+    # the membership benchmark's set-up: 12 incumbents on three channels
+    # over lossless 25 +/- 5 ms links, then one joiner granted ch0 only.
+    # Every incumbent used to re-sign and re-send the same view each gossip
+    # tick: 83 view responses per join.
+    channels = ("ch0", "ch1", "ch2")
+    net, runner, nodes = make_cluster(12, channels=channels, seed=2,
+                                      delay_mu=0.025, delay_sigma=0.005)
+    runner.start_all()
+    assert settle(runner, nodes)
+    sent = Counter()
+    net.taps.append(
+        lambda _, dg: sent.update([wire.decode_management(dg).kind])
+        if wire.peek_magic(dg) == wire.MAGIC_MANAGEMENT else None)
+    cert, key = member_factory(nodes[0].group, ("ch0",), uid=13)
+    late = LcmsecNode(LocalIdentity(13, cert, key), roots, nodes[0].group,
+                      ("ch0",), random.Random(13))
+    ep = runner.add(late)
+    for out in late.start(net.now):
+        ep.send(out)
+    everyone = nodes + [late]
+    assert settle(runner, everyone, t_max=net.now + 30.0)
+    assert len({n.group_seed for n in everyone}) == 1
+    assert len({n.channel_seed("ch0") for n in everyone}) == 1
+    assert failed_agreements(everyone) == 0
+    assert sent[wire.MsgKind.JOIN_RESPONSE] < 83 / 2
+
+
+class CountingEndpoint(UdpEndpoint):
+    """A multicast endpoint that counts the rounds it sends, by scope."""
+
+    def __init__(self, group):
+        super().__init__(group)
+        self.rounds = Counter()
+
+    def send(self, datagram):
+        if wire.peek_magic(datagram) == wire.MAGIC_MANAGEMENT:
+            env = wire.decode_management(datagram)
+            if env.kind in (wire.MsgKind.GKA_ROUND1, wire.MsgKind.GKA_ROUND2):
+                self.rounds[env.channel, env.kind] += 1
+        super().send(datagram)
+
+
+def test_udp_pair_sends_each_round_once(member_factory, roots):
+    # multicast loops every datagram back to its sender, which is what
+    # the simulator never does; a node's own rounds used to buy it
+    # straggler help, so a lossless set-up sent most rounds twice. The
+    # timed resend is pushed out so a stalled host cannot add a copy.
+    group = "239.255.77.6:17776"
+    timing = discovery.DiscoveryTiming(gka_rebroadcast=30.0)
+    runners = []
+    for uid in (1, 2):
+        cert, key = member_factory(group, ("*",), uid=uid)
+        node = LcmsecNode(LocalIdentity(uid, cert, key), roots, group,
+                          ("chatter",), random.Random(uid), timing=timing)
+        runners.append(UdpRunner(node, CountingEndpoint(group)))
+    try:
+        for r in runners:
+            r.start()
+        a, b = (r.node for r in runners)
+        t_end = time.time() + 20.0
+        while not (a.ready and b.ready and a.group_seed == b.group_seed
+                   and a.channel_seed("chatter") == b.channel_seed("chatter")):
+            assert time.time() < t_end, "set-up did not converge"
+            for r in runners:
+                r.pump(0.002)
+        for r in runners:
+            r.pump(0.05)                   # late copies would show here
+    finally:
+        for r in runners:
+            r.endpoint.close()
+    once = {(ch, kind): 1 for ch in ("", "chatter")
+            for kind in (wire.MsgKind.GKA_ROUND1, wire.MsgKind.GKA_ROUND2)}
+    assert [r.endpoint.rounds for r in runners] == [once, once]
+    assert failed_agreements([a, b]) == 0
 
 
 def test_publish_before_ready_raises(make_cluster):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lcmsec.crypto import TAG_LEN, kdf_expand, key_context
 from lcmsec.errors import (BadName, CounterExhausted, NoKey, NotAuthorized,
                            OversizeMessage)
+from lcmsec import session as session_module
 from lcmsec.session import KeyStore, ReplayWindow, SendCounter, Session
 from lcmsec.wire import encode_plain_lcm, peek_magic, try_unpack_secure, \
     MAGIC_SECURE, MAX_CHANNELNAME, MAX_MESSAGE_BODY, FragmentPacket, \
@@ -305,6 +306,28 @@ def test_missing_fragment_no_delivery():
     out = tx.publish("chatter", b"z" * 5000)
     assert all(rx.receive(d) is None for d in out[:-1])
     assert rx.stats.delivered == 0
+
+
+def test_own_fragments_dropped_on_their_header(monkeypatch):
+    tx = make_session(mtu=700)
+    out = tx.publish("chatter", b"z" * 5000)
+    parsed = []
+    real = session_module.decode_fragment
+
+    def counting(data):
+        parsed.append(data)
+        return real(data)
+
+    monkeypatch.setattr(session_module, "decode_fragment", counting)
+    # multicast loops the sender's own train back to it
+    assert [tx.receive(d) for d in out] == [None] * len(out)
+    assert parsed == []
+    assert tx.stats.drops == {"own_echo": len(out)}
+    # a peer's fragments are still parsed and delivered
+    rx = make_session(sender_id=2)
+    results = [rx.receive(d) for d in out]
+    assert len(parsed) == len(out)
+    assert results[-1] == ("chatter", b"z" * 5000)
 
 
 IMPOSSIBLE_FRAGMENTS = {
