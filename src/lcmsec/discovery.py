@@ -433,7 +433,7 @@ class DiscoveryDriver:
             # an equal view and floor is news only to the gossip timer,
             # and one verified copy per tick is enough to skip that tick
             if (self.phase is not Phase.GATHERING or floor != floor_now
-                    or self._echoed() or compare(incoming, self.state)):
+                    or self._echoed() or compare(incoming, self.state) != 0):
                 return self._drop("no_news")
             if not verify_envelope(env, signer[1]):
                 return self._drop("bad_signature")
