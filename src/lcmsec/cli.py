@@ -178,13 +178,12 @@ class _PhaseWatcher:
         self._last: dict[str, tuple] = {}
 
     def poll(self):
-        drivers = [("group", self.node._group_driver)]
-        drivers += list(self.node._channel_drivers.items())
-        for label, drv in drivers:
+        for channel, drv in self.node.drivers.items():
             cur = (drv.phase.name, drv.epoch)
-            if self._last.get(label) != cur:
-                self._last[label] = cur
-                log.info("%s: %s, epoch %d", label, cur[0].lower(), cur[1])
+            if self._last.get(channel) != cur:
+                self._last[channel] = cur
+                log.info("%s: %s, epoch %d", channel or "group",
+                         cur[0].lower(), cur[1])
 
 
 # ---------------------------------------------------------------------- demo
@@ -672,7 +671,7 @@ def bench_discovery_run(n, seed, mu=0.025, sigma=0.005, loss=0.10,
                 "gka_rounds": (counts[wire.MsgKind.GKA_ROUND1]
                                + counts[wire.MsgKind.GKA_ROUND2]),
                 "restarts": sum(d.stats.get("agreements_failed", 0)
-                                for nd in nodes for d in nd._all_drivers()),
+                                for nd in nodes for d in nd.drivers.values()),
                 "converged": int(converged), "keys_equal": int(keys_equal),
                 "virtual_s": round(net.now, 3)}
 

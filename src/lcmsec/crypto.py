@@ -56,13 +56,10 @@ class KeyMaterial:
         if not 0 <= self.salt < (1 << SALT_BITS):
             raise ValueError("salt must fit in 16 bits")
         object.__setattr__(self, "gcm", AESGCM(self.key))
-        object.__setattr__(self, "ecb", _ecb_encryptor(self.key))
-
-
-def _ecb_encryptor(key: bytes):
-    # ECB over successive counter blocks IS the CTR keystream; a single
-    # long-lived encryptor works because ECB chains no state between blocks
-    return Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        # ECB over successive counter blocks IS the CTR keystream; a single
+        # long-lived encryptor works because ECB chains no state between blocks
+        object.__setattr__(self, "ecb", Cipher(
+            algorithms.AES(self.key), modes.ECB()).encryptor())
 
 
 def build_iv(salt: int, sender_id: int, msg_seqno: int) -> bytes:
@@ -97,33 +94,25 @@ def aead_open(material: KeyMaterial, iv: bytes, ciphertext_and_tag: bytes,
         raise AuthFailure("AEAD tag mismatch")
 
 
-def ctr_xor(key: bytes, counter_block: bytes, data: bytes) -> bytes:
-    """Raw AES-CTR keystream XOR for a full 16-byte initial counter block."""
-    return _keystream_xor(_ecb_encryptor(key), counter_block, data)
-
-
-def _keystream_xor(enc, counter_block: bytes, data: bytes) -> bytes:
-    n = len(data)
-    if not n:
-        return b""
-    if n <= 16:
-        ks = enc.update(counter_block)
-    else:
-        start = int.from_bytes(counter_block, "big")
-        ks = enc.update(b"".join(
-            ((start + j) & ((1 << 128) - 1)).to_bytes(16, "big")
-            for j in range((n + 15) // 16)))
-    return (int.from_bytes(data, "big")
-            ^ int.from_bytes(ks[:n], "big")).to_bytes(n, "big")
-
-
 def ctr_crypt(material: KeyMaterial, iv: bytes, data: bytes) -> bytes:
     """AES-CTR stream encryption with the 96-bit IV and counter starting at 0.
 
     Self-inverse and length preserving; the first n output bytes depend only
     on the first n input bytes, so a receiver can decrypt a prefix bytewise.
     """
-    return _keystream_xor(material.ecb, iv + b"\x00\x00\x00\x00", data)
+    n = len(data)
+    if not n:
+        return b""
+    block = iv + b"\x00\x00\x00\x00"
+    if n <= 16:
+        ks = material.ecb.update(block)
+    else:
+        # the 32-bit counter starts at 0, so it never carries into the IV
+        start = int.from_bytes(block, "big")
+        ks = material.ecb.update(b"".join(
+            (start + j).to_bytes(16, "big") for j in range((n + 15) // 16)))
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(ks[:n], "big")).to_bytes(n, "big")
 
 
 def hkdf_bytes(seed: bytes, context: bytes, length: int) -> bytes:

@@ -37,37 +37,35 @@ from hashlib import sha256
 from .errors import (Expired, MalformedUrn, NotAuthorized, NonCanonical,
                      StaleInstance, Truncated)
 from .gka import (GkaPhase, GkaSession, InstanceLedger, JoinMode,
-                  KeyAgreeMode, LocalIdentity, RingConfig, build_join_ring)
+                  KeyAgreeMode, LocalIdentity, RingConfig, build_join_ring,
+                  sign_envelope)
 from .identity import LCMDomain, PeerCertificate, authorize, verify_chain
 from .wire import (ManagementEnvelope, MsgKind, encode_join_payload,
                    encode_join_response_payload, parse_gka_payload,
                    parse_join_payload, parse_join_response_payload,
                    signed_region)
-from . import crypto
+from . import crypto, gka
 
 log = logging.getLogger(__name__)
 
 #: deadline of a quiescent committed group: never reached
 T_SENTINEL = 2**64 - 1
 
-
-@dataclass(frozen=True)
-class DiscoveryTiming:
-    epsilon_max: float = 0.050
-    base_offset: float = 0.500
-    response_delay_min: float = 0.010
-    response_delay_max: float = 0.100
-    #: short enough for two or three re-announcements inside one gathering
-    #: window, so a lost JOIN still enters every view before it freezes
-    join_rebroadcast: float = 0.200
-    #: while gathering, the whole view is re-broadcast at this pace; lost
-    #: responses otherwise leave views quietly diverged until the ring
-    #: agreement folds garbage and everything restarts
-    view_gossip: float = 0.150
-    round_timeout: float = 2.0
-    gka_rebroadcast: float = 0.25
-    #: JOINs promising a deadline further out than this are dropped
-    max_join_horizon: float = 60.0
+#: a JOIN's deadline lies BASE_OFFSET plus up to EPSILON_MAX seconds ahead
+BASE_OFFSET = 0.500
+EPSILON_MAX = 0.050
+#: members answer JOINs after a random delay in this range (seconds)
+RESPONSE_DELAY_MIN = 0.010
+RESPONSE_DELAY_MAX = 0.100
+#: short enough for two or three re-announcements inside one gathering
+#: window, so a lost JOIN still enters every view before it freezes
+JOIN_REBROADCAST = 0.200
+#: while gathering, the whole view is re-broadcast at this pace; lost
+#: responses otherwise leave views quietly diverged until the ring
+#: agreement folds garbage and everything restarts
+VIEW_GOSSIP = 0.150
+#: JOINs promising a deadline further out than this are dropped
+MAX_JOIN_HORIZON = 60.0
 
 
 class Phase(Enum):
@@ -133,10 +131,9 @@ class ChainVerdicts:
 
     Chain validity does not depend on the scope, only the grant does, so one
     check per certificate serves the group and every channel; the node hands
-    this to each driver as it does the :class:`InstanceLedger`. A passing
-    verdict is kept by fingerprint until the earliest ``not_valid_after`` of
-    the certificate and the roots. A failing one is not kept, since anyone
-    can mint a bad chain.
+    this to each of its drivers. A passing verdict is kept by fingerprint
+    until the earliest ``not_valid_after`` of the certificate and the roots.
+    A failing one is not kept, since anyone can mint a bad chain.
     """
 
     def __init__(self, roots):
@@ -168,22 +165,18 @@ class DiscoveryDriver:
     """Single-scope discovery state machine; feed it envelopes and timers.
 
     All methods return envelopes to broadcast. Completed or failed
-    agreements surface through :meth:`take_events`. ``chains`` shares chain
-    verdicts with the node's other drivers; without it the driver keeps its
-    own.
+    agreements surface through :meth:`take_events`. ``chains`` holds the
+    chain verdicts the node's drivers share; the instance ledger is the
+    driver's own, since no other scope reads it.
     """
 
     def __init__(self, scope: LCMDomain, identity: LocalIdentity,
-                 roots, ledger: InstanceLedger, rng,
-                 timing: DiscoveryTiming = DiscoveryTiming(),
-                 chains: ChainVerdicts | None = None):
+                 chains: ChainVerdicts, rng):
         self.scope = scope
         self.identity = identity
-        self.roots = roots
-        self.chains = chains or ChainVerdicts(roots)
-        self.ledger = ledger
+        self.chains = chains
+        self.ledger = InstanceLedger()
         self.rng = rng
-        self.timing = timing
         self.phase = Phase.IDLE
         self.state = DiscoveryState()
         self.epoch = 0
@@ -208,10 +201,9 @@ class DiscoveryDriver:
         #: (view, floor) another node sent authenticated since the last
         #: gossip tick; the next tick is skipped while they are still ours
         self._echo: tuple[DiscoveryState, int] | None = None
-        self._help_instance = 0            # last completed instance
-        self._help_ring: set[int] = set()
-        self._help_envs: list[ManagementEnvelope] = []
-        self._help_at = 0.0                # next time we may answer one
+        #: the last completed agreement, whose rounds help stragglers
+        self._finished: GkaSession | None = None
+        self._next_help = 0.0              # next time we may answer one
         self._remember(identity.cert)
 
     # ----------------------------------------------------------- public API
@@ -229,12 +221,11 @@ class DiscoveryDriver:
         self._my_join_t = t_ms
         self.phase = Phase.GATHERING
         self._join_env = self._build_join(t_ms)
-        self._join_resend_at = now + self.timing.join_rebroadcast
+        self._join_resend_at = now + JOIN_REBROADCAST
         self._arm_gossip(now)
         if self._pending and self._response_at is None:
-            self._response_at = now + self.rng.uniform(
-                self.timing.response_delay_min,
-                self.timing.response_delay_max)
+            self._response_at = now + self.rng.uniform(RESPONSE_DELAY_MIN,
+                                                       RESPONSE_DELAY_MAX)
         return [self._join_env]
 
     def handle(self, env: ManagementEnvelope, now: float
@@ -262,7 +253,7 @@ class DiscoveryDriver:
             if self.phase is Phase.GATHERING and self._join_env is not None \
                     and self.identity.uid in self.state.joining:
                 out.append(self._join_env)
-                self._join_resend_at = now + self.timing.join_rebroadcast
+                self._join_resend_at = now + JOIN_REBROADCAST
             else:
                 self._join_resend_at = None
         if self.phase is Phase.GATHERING:
@@ -279,7 +270,7 @@ class DiscoveryDriver:
             self._gossip_at = None
         if self.phase is Phase.GATHERING and self._now_ms(now) >= \
                 self.state.t_ms:
-            out.extend(self._freeze(now, self.ledger.floor(self.scope) + 1))
+            out.extend(self._freeze(now, self.ledger.floor + 1))
         if self._session is not None and self.phase is Phase.AGREEING:
             out.extend(self._session.on_timer(now))
             out.extend(self._settle(now))
@@ -336,9 +327,11 @@ class DiscoveryDriver:
         if uid is None:
             return []
         if uid == self.identity.uid:
-            return []                      # own loopback
+            # own echoes were dropped as own_echo: this is a foreign
+            # certificate carrying this node's uid
+            return []
         now_ms = self._now_ms(now)
-        horizon = now_ms + int(self.timing.max_join_horizon * 1000)
+        horizon = now_ms + int(MAX_JOIN_HORIZON * 1000)
         if t_ms < now_ms or t_ms > horizon:
             return self._drop("stale_join")
         # a byte-identical rebroadcast of the last JOIN verified from this
@@ -373,9 +366,8 @@ class DiscoveryDriver:
             # re-announces with a later t, and replays only carry older ones
             self._pending[uid] = (t_ms, cert)
             if self._response_at is None:
-                lo, hi = (self.timing.response_delay_min,
-                          self.timing.response_delay_max)
-                self._response_at = now + self.rng.uniform(lo, hi)
+                self._response_at = now + self.rng.uniform(
+                    RESPONSE_DELAY_MIN, RESPONSE_DELAY_MAX)
 
     def _handle_join_response(self, env: ManagementEnvelope, now: float
                               ) -> list[ManagementEnvelope]:
@@ -386,10 +378,10 @@ class DiscoveryDriver:
                 floor = parse_join_response_payload(env.payload)[3]
             except (Truncated, NonCanonical, ValueError):
                 return self._drop("malformed_response")
-            if floor > self.ledger.floor(self.scope):
+            if floor > self.ledger.floor:
                 signer = self._known.get(env.signer_ref)
                 if signer is not None and verify_envelope(env, signer[1]):
-                    self.ledger.record_attempt(self.scope, floor)
+                    self.ledger.record_attempt(floor)
             return self._drop("response_ignored")
         try:
             t_ms, p_ders, j_ders, floor = parse_join_response_payload(
@@ -428,7 +420,7 @@ class DiscoveryDriver:
         incoming = DiscoveryState(participants=participants, joining=joining,
                                   t_ms=t_ms)
         merged = merge_max(self.state, incoming)
-        floor_now = self.ledger.floor(self.scope)
+        floor_now = self.ledger.floor
         if merged is self.state and floor <= floor_now:
             # an equal view and floor is news only to the gossip timer,
             # and one verified copy per tick is enough to skip that tick
@@ -441,7 +433,7 @@ class DiscoveryDriver:
             return self._drop("view_echo")
         if not verify_envelope(env, signer[1]):
             return self._drop("bad_signature")
-        self.ledger.record_attempt(self.scope, floor)
+        self.ledger.record_attempt(floor)
         if merged is not self.state:
             self.state = self._keep_self(merged)
             if self.phase is Phase.COMMITTED and \
@@ -457,14 +449,13 @@ class DiscoveryDriver:
         """Another node's authenticated view: what it shows it holds."""
         if self.identity.uid in view.joining:
             self._join_resend_at = None     # our JOIN has been heard
-        if floor == self.ledger.floor(self.scope) and \
-                compare(view, self.state) == 0:
+        if floor == self.ledger.floor and compare(view, self.state) == 0:
             self._echo = (self.state, floor)
 
     def _echoed(self) -> bool:
         echo = self._echo
         return (echo is not None and echo[0] is self.state
-                and echo[1] == self.ledger.floor(self.scope))
+                and echo[1] == self.ledger.floor)
 
     def _handle_gka(self, env: ManagementEnvelope, now: float
                     ) -> list[ManagementEnvelope]:
@@ -480,9 +471,11 @@ class DiscoveryDriver:
         if payload_uid != uid:
             return self._drop("bad_signature")
         # a straggler is still exchanging rounds we already completed
-        helps = (instance == self._help_instance and uid in self._help_ring
-                 and self._help_envs and now >= self._help_at)
-        floor = self.ledger.floor(self.scope)
+        done = self._finished
+        helps = (done is not None and instance == done.config.instance_id
+                 and done.sent and now >= self._next_help
+                 and uid in done.config.uids)
+        floor = self.ledger.floor
         session = self._session if self.phase is Phase.AGREEING else None
         if instance <= floor and not helps and (
                 session is None or instance != session.config.instance_id):
@@ -491,8 +484,8 @@ class DiscoveryDriver:
             return self._drop("bad_signature")
         out: list[ManagementEnvelope] = []
         if helps:
-            out.extend(self._help_envs)
-            self._help_at = now + self.timing.gka_rebroadcast
+            out.extend(done.sent)
+            self._next_help = now + gka.REBROADCAST_INTERVAL
         if instance > floor:
             present = (uid in self.state.participants
                        or uid in self.state.joining)
@@ -500,7 +493,7 @@ class DiscoveryDriver:
                 # a co-member already reached its deadline: freeze with it
                 # (before lifting the floor, or the new session looks stale)
                 out.extend(self._freeze(now, instance))
-            self.ledger.record_attempt(self.scope, instance)
+            self.ledger.record_attempt(instance)
         if self._session is not None and self.phase is Phase.AGREEING:
             session = self._session
             if (instance == session.config.instance_id
@@ -523,8 +516,7 @@ class DiscoveryDriver:
         return int(round(now * 1000))
 
     def _fresh_deadline(self, now: float) -> int:
-        offset = self.timing.base_offset + self.rng.uniform(
-            0.0, self.timing.epsilon_max)
+        offset = BASE_OFFSET + self.rng.uniform(0.0, EPSILON_MAX)
         return self._now_ms(now) + int(round(offset * 1000))
 
     def _drop(self, reason: str) -> list[ManagementEnvelope]:
@@ -588,15 +580,7 @@ class DiscoveryDriver:
 
     def _build_join(self, t_ms: int) -> ManagementEnvelope:
         payload = encode_join_payload(t_ms, self.identity.cert.der)
-        return self._sign(MsgKind.JOIN, payload)
-
-    def _sign(self, kind: MsgKind, payload: bytes) -> ManagementEnvelope:
-        region = signed_region(kind, self.scope.group, self.scope.channel,
-                               payload)
-        return ManagementEnvelope(
-            kind=kind, group=self.scope.group, channel=self.scope.channel,
-            payload=payload, signer_ref=self.identity.cert.fingerprint,
-            signature=crypto.sign(region, self.identity.key))
+        return sign_envelope(MsgKind.JOIN, self.scope, self.identity, payload)
 
     def _flush_response(self, now: float) -> list[ManagementEnvelope]:
         # a join from a listed participant is news too: it means that node
@@ -624,14 +608,15 @@ class DiscoveryDriver:
             self.state.t_ms,
             [(u, c.der) for u, c in self.state.participants.items()],
             [(u, c.der) for u, c in self.state.joining.items()],
-            self.ledger.floor(self.scope))
-        return self._sign(MsgKind.JOIN_RESPONSE, payload)
+            self.ledger.floor)
+        return sign_envelope(MsgKind.JOIN_RESPONSE, self.scope, self.identity,
+                             payload)
 
     def _arm_gossip(self, now: float) -> None:
         # jittered so a cohort entering a gathering together does not fire
         # in synchronized bursts
         self._echo = None
-        self._gossip_at = now + self.timing.view_gossip * (
+        self._gossip_at = now + VIEW_GOSSIP * (
             0.75 + self.rng.uniform(0.0, 0.5))
 
     def _freeze(self, now: float, instance_id: int
@@ -644,7 +629,7 @@ class DiscoveryDriver:
             if self.identity.uid in self.state.joining:
                 self._my_join_t = t_ms
                 self._join_env = self._build_join(t_ms)
-                self._join_resend_at = now + self.timing.join_rebroadcast
+                self._join_resend_at = now + JOIN_REBROADCAST
                 return [self._join_env]
             return []
         if len(members) > 0xFFFF:
@@ -674,9 +659,7 @@ class DiscoveryDriver:
                             my_index=my_index, instance_id=instance_id,
                             mode=mode)
         session = GkaSession(config, self.identity, self.ledger,
-                             passive=passive, rng=self.rng,
-                             round_timeout=self.timing.round_timeout,
-                             rebroadcast_interval=self.timing.gka_rebroadcast)
+                             passive=passive, rng=self.rng)
         try:
             out = session.start(now)
         except StaleInstance:
@@ -700,15 +683,11 @@ class DiscoveryDriver:
             self.seed = session.seed
             self.phase = Phase.COMMITTED
             # whoever is still exchanging rounds in this instance missed
-            # some of our traffic; keep the signed envelopes around so we
-            # can answer instead of stranding them (completed senders going
-            # silent is what turns one lost datagram into a full restart)
-            self._help_instance = session.config.instance_id
-            self._help_ring = set(session.config.uids)
-            self._help_envs = [e for e in (session._round1_env,
-                                           session._round2_env)
-                               if e is not None]
-            self._help_at = 0.0
+            # some of our traffic; keep the session's signed rounds around so
+            # we can answer instead of stranding them (completed senders
+            # going silent is what turns one lost datagram into a restart)
+            self._finished = session
+            self._next_help = 0.0
             self._session = None
             self._frozen = None
             self._my_join_t = None
@@ -722,8 +701,7 @@ class DiscoveryDriver:
                              if u not in members}
             if self._pending and self._response_at is None:
                 self._response_at = now + self.rng.uniform(
-                    self.timing.response_delay_min,
-                    self.timing.response_delay_max)
+                    RESPONSE_DELAY_MIN, RESPONSE_DELAY_MAX)
             return []
         if session.phase is GkaPhase.FAILED:
             self._restart_after_failure(session.failure_reason)

@@ -135,8 +135,9 @@ class P256Group:
     def random_scalar(self, rng=None) -> int:
         """Uniform scalar in [1, order-1].
 
-        ``rng`` may be a seeded ``random.Random`` for reproducible protocol
-        simulations; production callers leave it unset and get the OS CSPRNG.
+        Without ``rng`` it comes from the OS CSPRNG. A node passes its own
+        rng, which is ``random.SystemRandom`` (the OS CSPRNG too) unless the
+        caller seeded a ``random.Random`` for a reproducible simulation.
         """
         if rng is None:
             return 1 + secrets.randbelow(self.order - 1)

@@ -33,7 +33,10 @@ from .wire import (ManagementEnvelope, MsgKind, encode_gka_payload,
 
 log = logging.getLogger(__name__)
 
+#: a round still incomplete this long after it began fails the agreement,
+#: and discovery restarts
 ROUND_TIMEOUT = 2.0
+#: pace of the agreement's own resends, and of straggler help after it
 REBROADCAST_INTERVAL = 0.25
 
 
@@ -44,6 +47,16 @@ class LocalIdentity:
     uid: int
     cert: PeerCertificate
     key: ec.EllipticCurvePrivateKey
+
+
+def sign_envelope(kind: MsgKind, scope: LCMDomain, identity: LocalIdentity,
+                  payload: bytes) -> ManagementEnvelope:
+    """A control message for ``scope``, signed with this node's key."""
+    region = signed_region(kind, scope.group, scope.channel, payload)
+    return ManagementEnvelope(
+        kind=kind, group=scope.group, channel=scope.channel, payload=payload,
+        signer_ref=identity.cert.fingerprint,
+        signature=crypto.sign(region, identity.key))
 
 
 @dataclass(frozen=True)
@@ -119,33 +132,25 @@ class RingConfig:
 
 
 class InstanceLedger:
-    """Remembers instance ids per scope so no id is ever accepted twice.
+    """Remembers one scope's instance ids so no id is ever accepted twice.
 
-    ``floor`` is the highest id attempted or completed in a scope; completed
-    ids are also tracked per sender for replay rejection.
+    ``floor`` is the highest id attempted or completed; completed ids are
+    also tracked per sender for replay rejection. Each discovery driver
+    owns the ledger of its scope.
     """
 
     def __init__(self):
-        self._floor: dict[tuple[str, str], int] = {}
-        self._completed: dict[tuple[str, str, int], int] = {}
+        self.floor = 0
+        self._completed: dict[int, int] = {}
 
-    @staticmethod
-    def _key(scope: LCMDomain) -> tuple[str, str]:
-        return (scope.group, scope.channel)
+    def record_attempt(self, instance_id: int):
+        self.floor = max(self.floor, instance_id)
 
-    def floor(self, scope: LCMDomain) -> int:
-        return self._floor.get(self._key(scope), 0)
+    def completed(self, uid: int) -> int:
+        return self._completed.get(uid, 0)
 
-    def record_attempt(self, scope: LCMDomain, instance_id: int):
-        key = self._key(scope)
-        self._floor[key] = max(self._floor.get(key, 0), instance_id)
-
-    def completed(self, scope: LCMDomain, uid: int) -> int:
-        return self._completed.get((scope.group, scope.channel, uid), 0)
-
-    def record_completed(self, scope: LCMDomain, uid: int, instance_id: int):
-        key = (scope.group, scope.channel, uid)
-        self._completed[key] = max(self._completed.get(key, 0), instance_id)
+    def record_completed(self, uid: int, instance_id: int):
+        self._completed[uid] = max(self._completed.get(uid, 0), instance_id)
 
 
 class GkaPhase(Enum):
@@ -163,21 +168,18 @@ class GkaSession:
     ``passive=True`` and a config whose ``my_index`` points at the first
     representative, whose view it reconstructs without transmitting.
 
-    Signatures are not checked here: the discovery driver verifies every
-    envelope before handing it in. The session checks that the signer is
-    the ring member the payload names.
+    Signatures, scope and kind are not checked here: the discovery driver
+    checks them before handing an envelope in. The session checks that the
+    signer is the ring member the payload names. ``sent`` holds the rounds
+    this member broadcast, in order.
     """
 
     def __init__(self, config: RingConfig, identity: LocalIdentity,
-                 ledger: InstanceLedger, *, passive: bool = False,
-                 rng=None, round_timeout: float = ROUND_TIMEOUT,
-                 rebroadcast_interval: float = REBROADCAST_INTERVAL):
+                 ledger: InstanceLedger, *, passive: bool = False, rng=None):
         self.config = config
         self.identity = identity
         self.ledger = ledger
         self.passive = passive
-        self.round_timeout = round_timeout
-        self.rebroadcast_interval = rebroadcast_interval
         self.phase = GkaPhase.INIT
         self.seed: bytes | None = None
         self.failure_reason: str | None = None
@@ -193,8 +195,7 @@ class GkaSession:
         self._kl = None
         self._kr = None
         self._keys_ready = False
-        self._round1_env: ManagementEnvelope | None = None
-        self._round2_env: ManagementEnvelope | None = None
+        self.sent: list[ManagementEnvelope] = []
         self._deadline: float | None = None
         self._next_send: float | None = None
 
@@ -217,31 +218,26 @@ class GkaSession:
     def start(self, now: float) -> list[ManagementEnvelope]:
         if self.phase is not GkaPhase.INIT:
             return []
-        if self.config.instance_id <= self.ledger.floor(self.config.scope):
+        if self.config.instance_id <= self.ledger.floor:
             raise StaleInstance(
                 f"instance {self.config.instance_id} not above ledger floor "
-                f"{self.ledger.floor(self.config.scope)}")
-        self.ledger.record_attempt(self.config.scope,
-                                   self.config.instance_id)
+                f"{self.ledger.floor}")
+        self.ledger.record_attempt(self.config.instance_id)
         self._z[self.config.my_index] = self._my_z
         self.phase = GkaPhase.R1_SENT
-        self._deadline = now + self.round_timeout
+        self._deadline = now + ROUND_TIMEOUT
         if self.passive:
             return []
-        self._round1_env = self._envelope(MsgKind.GKA_ROUND1, 1, self._my_z)
-        self._next_send = now + self.rebroadcast_interval
-        return [self._round1_env]
+        env = self._envelope(MsgKind.GKA_ROUND1, 1, self._my_z)
+        self.sent.append(env)
+        self._next_send = now + REBROADCAST_INTERVAL
+        return [env]
 
     def handle(self, env: ManagementEnvelope, now: float
                ) -> list[ManagementEnvelope]:
         if self.phase in (GkaPhase.DONE, GkaPhase.FAILED,
                           GkaPhase.INIT):
             return []
-        if (env.group, env.channel) != (self.config.scope.group,
-                                        self.config.scope.channel):
-            return self._drop("wrong_scope")
-        if env.kind not in (MsgKind.GKA_ROUND1, MsgKind.GKA_ROUND2):
-            return self._drop("wrong_kind")
         try:
             uid, round_no, element_raw, instance = parse_gka_payload(
                 env.payload)
@@ -251,7 +247,7 @@ class GkaSession:
             return self._drop("wrong_instance")
         if uid not in self._index_of:
             return self._drop("unknown_sender")
-        if instance <= self.ledger.completed(self.config.scope, uid):
+        if instance <= self.ledger.completed(uid):
             return self._drop("stale_instance")
         signer_uid = self._uid_by_ref.get(env.signer_ref)
         if signer_uid is None:
@@ -291,15 +287,11 @@ class GkaSession:
                        f"({len(self._z)}/{self._n} round-1, "
                        f"{len(self._y)}/{self._n} round-2)")
             return []
-        out: list[ManagementEnvelope] = []
-        if (not self.passive and self._next_send is not None
-                and now >= self._next_send):
-            if self._round2_env is not None:
-                out.append(self._round2_env)
-            if self._round1_env is not None:
-                out.append(self._round1_env)
-            self._next_send = now + self.rebroadcast_interval
-        return out
+        # a passive follower sends nothing, so it has no resend time
+        if self._next_send is None or now < self._next_send:
+            return []
+        self._next_send = now + REBROADCAST_INTERVAL
+        return self.sent[::-1]           # round 2 first
 
     def next_wakeup(self) -> float | None:
         if self.phase in (GkaPhase.DONE, GkaPhase.FAILED, GkaPhase.INIT):
@@ -326,13 +318,7 @@ class GkaSession:
         payload = encode_gka_payload(self.identity.uid, round_no,
                                      P256.serialize(element),
                                      self.config.instance_id)
-        region = signed_region(kind, self.config.scope.group,
-                               self.config.scope.channel, payload)
-        return ManagementEnvelope(
-            kind=kind, group=self.config.scope.group,
-            channel=self.config.scope.channel, payload=payload,
-            signer_ref=self.identity.cert.fingerprint,
-            signature=crypto.sign(region, self.identity.key))
+        return sign_envelope(kind, self.config.scope, self.identity, payload)
 
     def _advance(self, now: float) -> list[ManagementEnvelope]:
         if self._keys_ready:
@@ -356,10 +342,11 @@ class GkaSession:
         if self._y[i] != my_y:
             self._fail("own round-2 element conflicts with observed one")
             return []
-        self._round2_env = self._envelope(MsgKind.GKA_ROUND2, 2, my_y)
+        env = self._envelope(MsgKind.GKA_ROUND2, 2, my_y)
+        self.sent.append(env)
         self.phase = GkaPhase.R2_SENT
-        self._deadline = now + self.round_timeout
-        return [self._round2_env]
+        self._deadline = now + ROUND_TIMEOUT
+        return [env]
 
     def _maybe_complete(self):
         if self.phase in (GkaPhase.DONE, GkaPhase.FAILED):
@@ -381,5 +368,4 @@ class GkaSession:
         self.seed = P256.serialize(folded)
         self.phase = GkaPhase.DONE
         for uid in self.config.uids:
-            self.ledger.record_completed(self.config.scope, uid,
-                                         self.config.instance_id)
+            self.ledger.record_completed(uid, self.config.instance_id)

@@ -20,9 +20,10 @@ from . import wire
 from .crypto import channel_key_context, kdf_expand, key_context
 from .discovery import ChainVerdicts, CommitResult, DiscoveryDriver, Phase
 from .errors import CounterExhausted, LcmsecError
-from .gka import InstanceLedger, LocalIdentity
+from .gka import LocalIdentity
 from .identity import LCMDomain
-from .session import Session, material_epoch
+from .session import (DEFAULT_GRACE, DEFAULT_MTU, DEFAULT_WINDOW, Session,
+                      material_epoch)
 
 log = logging.getLogger(__name__)
 
@@ -30,71 +31,61 @@ _MANAGEMENT_MAGIC = wire.MAGIC_MANAGEMENT.to_bytes(4, "big")
 
 
 class LcmsecNode:
-    """Everything about one multicast group membership, minus the I/O."""
+    """Everything about one multicast group membership, minus the I/O.
+
+    ``drivers`` holds one discovery driver per scope, keyed by channel; the
+    group scope is ``""``. Without ``rng`` the node draws its agreement
+    scalars and its timer jitter from the OS CSPRNG (``SystemRandom``); a
+    seeded ``random.Random`` makes simulations and tests reproducible.
+    """
 
     def __init__(self, identity: LocalIdentity, roots, group: str,
-                 channels=(), rng=None, *, mtu=None, window_size=None,
-                 grace=None, timing=None):
+                 channels=(), rng=None, *, mtu=DEFAULT_MTU,
+                 window_size=DEFAULT_WINDOW, grace=DEFAULT_GRACE):
         self.identity = identity
         self.group = group
         self.channels = tuple(dict.fromkeys(channels))
-        self.rng = rng or random.Random()
-        self.ledger = InstanceLedger()
-        session_kw = {}
-        if mtu is not None:
-            session_kw["mtu"] = mtu
-        if window_size is not None:
-            session_kw["window_size"] = window_size
-        if grace is not None:
-            session_kw["grace"] = grace
+        self.rng = rng or random.SystemRandom()
         self.session = Session(group, self.channels, cert=identity.cert,
-                               **session_kw)
-        driver_kw = {"chains": ChainVerdicts(roots)}
-        if timing is not None:
-            driver_kw["timing"] = timing
-        self._group_driver = DiscoveryDriver(
-            LCMDomain(group, ""), identity, roots, self.ledger,
-            self.rng, **driver_kw)
-        self._channel_drivers = {
-            ch: DiscoveryDriver(LCMDomain(group, ch), identity, roots,
-                                self.ledger, self.rng, **driver_kw)
-            for ch in self.channels}
+                               mtu=mtu, window_size=window_size, grace=grace)
+        chains = ChainVerdicts(roots)
+        self.drivers = {
+            ch: DiscoveryDriver(LCMDomain(group, ch), identity, chains,
+                                self.rng)
+            for ch in ("", *self.channels)}
         self._group_result: CommitResult | None = None
         #: each channel's last commit, re-derived under every group commit
         self._channel_results: dict[str, CommitResult] = {}
         self._deliveries: list[tuple[str, bytes]] = []
-        self._started = False
         self.stats = {"foreign_scope": 0}
 
     # -------------------------------------------------------------- lifecycle
 
     def start(self, now: float) -> list[bytes]:
         """Join the group scope; channel scopes follow the group commit."""
-        self._started = True
-        return self._encode(self._group_driver.initiate_join(now))
+        return self._encode(self.drivers[""].initiate_join(now))
 
     @property
     def ready(self) -> bool:
         """True once this node can publish and receive on every channel."""
-        return (self._group_driver.phase is Phase.COMMITTED
-                and self.session.sender_id is not None
+        return (self.session.sender_id is not None
                 and all(d.phase is Phase.COMMITTED and d.seed is not None
-                        for d in self._channel_drivers.values()))
+                        for d in self.drivers.values()))
 
     @property
     def group_epoch(self) -> int:
-        return self._group_driver.epoch
+        return self.drivers[""].epoch
 
     def channel_epoch(self, channel: str) -> int:
-        return self._channel_drivers[channel].epoch
+        return self.drivers[channel].epoch
 
     @property
     def group_seed(self) -> bytes | None:
         """Agreed group-scope seed, None before the first commit."""
-        return self._group_driver.seed
+        return self.drivers[""].seed
 
     def channel_seed(self, channel: str) -> bytes | None:
-        return self._channel_drivers[channel].seed
+        return self.drivers[channel].seed
 
     # ------------------------------------------------------------------- I/O
 
@@ -110,7 +101,8 @@ class LcmsecNode:
         except LcmsecError:
             self.session.stats.drop("bad_management")
             return []
-        driver = self._driver_for(env.group, env.channel)
+        driver = (self.drivers.get(env.channel) if env.group == self.group
+                  else None)
         if driver is None:
             self.stats["foreign_scope"] += 1
             return []
@@ -120,14 +112,14 @@ class LcmsecNode:
 
     def on_timer(self, now: float) -> list[bytes]:
         out = []
-        for driver in self._all_drivers():
+        for driver in self.drivers.values():
             out.extend(driver.on_timer(now))
         out.extend(self._pump_events(now))
         return self._encode(out)
 
     def next_wakeup(self) -> float | None:
-        best = self._group_driver.next_wakeup()
-        for d in self._channel_drivers.values():
+        best = None
+        for d in self.drivers.values():
             t = d.next_wakeup()
             if t is not None and (best is None or t < best):
                 best = t
@@ -150,37 +142,27 @@ class LcmsecNode:
         except CounterExhausted:
             # retries refused while that re-key runs neither log nor
             # schedule again
-            if self._group_driver.phase is Phase.COMMITTED:
+            if self.drivers[""].phase is Phase.COMMITTED:
                 log.warning("%s: send counter exhausted, forcing a re-key",
                             self.group)
-                self._group_driver.force_rekey(now)
+                self.drivers[""].force_rekey(now)
             raise
 
     # -------------------------------------------------------------- internals
-
-    def _all_drivers(self):
-        yield self._group_driver
-        yield from self._channel_drivers.values()
-
-    def _driver_for(self, group: str, channel: str):
-        if group != self.group:
-            return None
-        if channel == "":
-            return self._group_driver
-        return self._channel_drivers.get(channel)
 
     def _encode(self, envs) -> list[bytes]:
         return [wire.encode_management(e) for e in envs]
 
     def _pump_events(self, now: float):
         out = []
-        for result in self._group_driver.take_events():
-            if result[0] == "committed":
-                out.extend(self._on_group_commit(result[1], now))
-        for channel, driver in self._channel_drivers.items():
-            for result in driver.take_events():
-                if result[0] == "committed":
-                    self._on_channel_commit(channel, result[1], now)
+        for channel, driver in self.drivers.items():
+            for kind, result in driver.take_events():
+                if kind != "committed":
+                    continue
+                if channel:
+                    self._on_channel_commit(channel, result, now)
+                else:
+                    out.extend(self._on_group_commit(result, now))
         return out
 
     def _on_group_commit(self, result: CommitResult, now: float):
@@ -196,8 +178,8 @@ class LcmsecNode:
         log.debug("%s: group epoch %d (%d members)", self.group,
                   result.epoch, len(result.members))
         out = []
-        for driver in self._channel_drivers.values():
-            if driver.phase is Phase.IDLE:
+        for channel, driver in self.drivers.items():
+            if channel and driver.phase is Phase.IDLE:
                 out.extend(driver.initiate_join(now))
         return out
 

@@ -485,14 +485,14 @@ def test_criterion_10_foreign_certificate_locked_out(tmp_path,
 
         # layer two: a hand-signed JOIN is refused, draws no response, and
         # leaves the committed group untouched
-        epoch_before = a._group_driver.epoch
-        refused_before = a._group_driver.stats.get("unauthorized_cert", 0)
+        epoch_before = a.drivers[""].epoch
+        refused_before = a.drivers[""].stats.get("unauthorized_cert", 0)
         forged = _forged_join(outsider, group, int(now * 1000) + 5000)
         for _ in range(rng.randint(2, 5)):
             assert a.handle_datagram(forged, now) == []
             assert b.handle_datagram(forged, now) == []
-        assert a._group_driver.stats["unauthorized_cert"] > refused_before
-        assert a._group_driver.epoch == epoch_before
+        assert a.drivers[""].stats["unauthorized_cert"] > refused_before
+        assert a.drivers[""].epoch == epoch_before
         assert a.ready and b.ready
 
         # captured traffic stays opaque without the keys

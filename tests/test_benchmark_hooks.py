@@ -1,21 +1,23 @@
 """The traced benchmark run (``perfbench/layers.py``) wraps functions and
-methods of the package by name, and the UDP workloads
-(``perfbench/udp_paths.py``) drive sockets and build datagrams through it.
-If a refactor renames or deletes one, a per-layer metric silently reads
-"not called" or a workload breaks only when it runs; these checks fail
-instead."""
+methods of the package by name, the UDP workloads
+(``perfbench/udp_paths.py``) drive sockets and build datagrams through it,
+and every workload constructs nodes. If a refactor renames or deletes one,
+a per-layer metric silently reads "not called" or a workload breaks only
+when it runs; these checks fail instead."""
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import os
 import random
 import select
 import socket
+import sys
 from collections import Counter
 from pathlib import Path
 
-from lcmsec import wire
+from lcmsec import LcmsecNode, wire
 from lcmsec.ecgroup import P256
 from lcmsec.gka import (GkaPhase, GkaSession, InstanceLedger, LocalIdentity,
                         RingConfig)
@@ -25,13 +27,20 @@ from lcmsec.transport import UdpEndpoint
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_targets_resolve(monkeypatch):
-    # layers.py imports its sibling modules by their bare names
+def load_perfbench(monkeypatch, name: str):
+    # the perfbench modules import their siblings by their bare names
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_layers",
-                                                  PERFBENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_targets_resolve(monkeypatch):
+    layers = load_perfbench(monkeypatch, "layers")
     missing = [name for owner, attr, name in layers.TARGETS
                if not callable(getattr(owner, attr, None))]
     assert missing == []
@@ -91,3 +100,19 @@ def test_agreement_multiplies_only_through_p256_exp(monkeypatch,
     assert all(s.phase is GkaPhase.DONE for s in sessions)
     assert len({s.seed for s in sessions}) == 1
     assert calls == {s._x: 3 for s in sessions}
+
+
+def test_workload_nodes_construct(monkeypatch, tmp_path):
+    # membership builds its nodes in _build; a constructor it no longer
+    # fits fails the whole workload as run_failed
+    membership = load_perfbench(monkeypatch, "membership")
+    incumbents, joiners = membership._build(1, tmp_path)
+    assert len(incumbents) == membership.INCUMBENTS
+    assert len(joiners) == membership.JOINERS
+    assert all(isinstance(n, LcmsecNode) for n in incumbents + joiners)
+    # udp_paths.Pair builds its two nodes as
+    # LcmsecNode(ident, roots, GROUP, CHANNELS, rng=..., mtu=MTU)
+    udp_paths = load_perfbench(monkeypatch, "udp_paths")
+    inspect.signature(LcmsecNode).bind(
+        incumbents[0].identity, [], udp_paths.GROUP, udp_paths.CHANNELS,
+        rng=random.Random(0), mtu=udp_paths.MTU)

@@ -19,7 +19,7 @@ from lcmsec.discovery import (ChainVerdicts, CommitResult, DiscoveryDriver,
                               DiscoveryState, Phase, T_SENTINEL,
                               assign_sender_ids, compare, merge_max)
 from lcmsec.errors import NotAuthorized
-from lcmsec.gka import InstanceLedger, JoinMode, KeyAgreeMode, LocalIdentity
+from lcmsec.gka import JoinMode, KeyAgreeMode, LocalIdentity
 from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
                              PeerCertificate)
 from lcmsec.wire import (ManagementEnvelope, MsgKind, decode_management,
@@ -38,7 +38,7 @@ def make_drivers(member_factory, roots):
             cert, key = member_factory(group, ("*",), uid=uid)
             ident = LocalIdentity(uid=uid, cert=cert, key=key)
             drivers.append(DiscoveryDriver(
-                LCMDomain(group, channel), ident, roots, InstanceLedger(),
+                LCMDomain(group, channel), ident, ChainVerdicts(roots),
                 random.Random(seed_base * 1000 + uid)))
         return drivers
     return build
@@ -216,8 +216,7 @@ def test_unauthorized_cert_rejected(make_drivers, member_factory):
     foreign_cert, foreign_key = member_factory("10.0.9.9:1111", ("*",), 1)
     # a locally unauthorized credential cannot even start
     ident = LocalIdentity(1, foreign_cert, foreign_key)
-    rogue = DiscoveryDriver(d.scope, ident, d.roots, InstanceLedger(),
-                            random.Random(9))
+    rogue = DiscoveryDriver(d.scope, ident, d.chains, random.Random(9))
     with pytest.raises(NotAuthorized):
         rogue.initiate_join(0.0)
     # and a hand-rolled JOIN signed with it is dropped by members
@@ -508,8 +507,8 @@ def test_restarted_member_rejoins_and_rekeys(make_drivers, roots):
     for d in drivers:
         d.take_events()
 
-    reborn = DiscoveryDriver(drivers[1].scope, drivers[1].identity, roots,
-                             InstanceLedger(), random.Random(77))
+    reborn = DiscoveryDriver(drivers[1].scope, drivers[1].identity,
+                             ChainVerdicts(roots), random.Random(77))
     survivors = [drivers[0], reborn, drivers[2]]
     sent = {}
     run_network(survivors, now=t + 1.0, join=[reborn], sent=sent)
@@ -632,13 +631,13 @@ def test_forged_response_with_news_costs_one_verification(make_drivers,
         payload=env.payload, signer_ref=env.signer_ref,
         signature=bytes(reversed(env.signature)))
     state, rng = a.state, a.rng.getstate()
-    floor, pending = a.ledger.floor(a.scope), dict(a._pending)
+    floor, pending = a.ledger.floor, dict(a._pending)
     verify_calls.clear()
     assert a.handle(forged, 0.1) == []
     assert len(verify_calls) == 1
     assert a.stats["bad_signature"] == 1
     assert a.state is state and a.rng.getstate() == rng
-    assert a.ledger.floor(a.scope) == floor and a._pending == pending
+    assert a.ledger.floor == floor and a._pending == pending
     # the genuine one carries the same news and is taken
     assert a.handle(env, 0.1) == []
     assert set(a.state.joining) == {1, 2, 3}
@@ -667,6 +666,29 @@ def test_own_echoes_dropped_before_any_check(make_drivers, verify_calls):
         assert a.handle(env, t + 0.01) == []
     assert verify_calls == []
     assert a.stats["own_echo"] - before == len(own)
+
+
+def test_wrong_scope_dropped_before_any_check(make_drivers, verify_calls):
+    # the scope is checked once, by the driver; the session trusts it
+    a, b = make_drivers([1, 2])
+    deliver([a, b], a.initiate_join(0.0) + b.initiate_join(0.0), 0.0)
+    for d in (a, b):
+        if d._response_at is not None:
+            deliver([a, b], d.on_timer(d._response_at), 0.15)
+    t_dead = max(a.state.t_ms, b.state.t_ms) / 1000 + 0.001
+    a.on_timer(t_dead)
+    env = [e for e in b.on_timer(t_dead) if e.kind is MsgKind.GKA_ROUND1][0]
+    moved = dataclasses.replace(env, channel="elsewhere")
+    session, floor = a._session, a.ledger.floor
+    verify_calls.clear()
+    assert a.handle(moved, t_dead) == []
+    assert a.stats["wrong_scope"] == 1
+    assert verify_calls == []
+    assert a._session is session and a.ledger.floor == floor
+    assert len(session._z) == 1 and session.stats == {}
+    # the round as it was signed is taken
+    a.handle(env, t_dead)
+    assert len(session._z) == 2
 
 
 def gathering_pair(make_drivers):
@@ -796,10 +818,8 @@ def test_chain_verdict_shared_but_grants_stay_per_scope(member_factory, roots,
     group = f"239.77.{next(_group_counter)}.1:7667"
     cert, key = member_factory(group, ("*",), 1)
     ident = LocalIdentity(uid=1, cert=cert, key=key)
-    chains, ledger, rng = ChainVerdicts(roots), InstanceLedger(), \
-        random.Random(1)
-    granted, other = [DiscoveryDriver(LCMDomain(group, ch), ident, roots,
-                                      ledger, rng, chains=chains)
+    chains, rng = ChainVerdicts(roots), random.Random(1)
+    granted, other = [DiscoveryDriver(LCMDomain(group, ch), ident, chains, rng)
                       for ch in ("a", "b")]
     for d in (granted, other):
         d.initiate_join(0.0)

@@ -9,7 +9,7 @@ from functools import reduce
 
 import pytest
 
-from lcmsec.discovery import DiscoveryDriver
+from lcmsec.discovery import ChainVerdicts, DiscoveryDriver
 from lcmsec.ecgroup import P256, P256_ORDER
 from lcmsec.errors import StaleInstance
 from lcmsec.gka import (GkaPhase, GkaSession, InstanceLedger, JoinMode,
@@ -259,7 +259,7 @@ def test_ledger_blocks_completed_sender_ids(make_members):
     scope, members = make_members([1, 2, 3])
     sessions = keyagree_sessions(scope, members)
     # mark instance 1 as already completed for uid 2 on node 0's ledger
-    sessions[0].ledger.record_completed(scope, 2, 1)
+    sessions[0].ledger.record_completed(2, 1)
     queue = []
     for s in sessions:
         queue.extend(s.start(0.0))
@@ -279,7 +279,7 @@ def valid_round1(sessions, from_idx=1):
 def test_tampered_element_dropped(make_members, roots):
     # signatures are checked where envelopes enter a node: the driver
     scope, members = make_members([1, 2])
-    a, b = [DiscoveryDriver(scope, m, roots, InstanceLedger(),
+    a, b = [DiscoveryDriver(scope, m, ChainVerdicts(roots),
                             random.Random(m.uid)) for m in members]
     for src, dst in ((a, b), (b, a)):
         for env in src.initiate_join(0.0):
@@ -297,7 +297,7 @@ def test_tampered_element_dropped(make_members, roots):
     # while gathering, a forged round-1 must not freeze the view
     assert a.handle(forged, t_dead) == []
     assert a.stats["bad_signature"] == 1
-    assert a._session is None and a.ledger.floor(scope) == 0
+    assert a._session is None and a.ledger.floor == 0
     # during the agreement, it must not store an element
     a.on_timer(t_dead)
     assert a._session.config.instance_id == 1
@@ -336,18 +336,6 @@ def test_wrong_instance_dropped(make_members):
     env = future.start(0.0)[0]
     assert sessions[0].handle(env, 0.0) == []
     assert sessions[0].stats["wrong_instance"] == 1
-
-
-def test_wrong_scope_dropped(make_members):
-    scope, members = make_members([1, 2])
-    sessions = keyagree_sessions(scope, members)
-    sessions[0].start(0.0)
-    env = valid_round1(sessions, 1)
-    moved = type(env)(kind=env.kind, group=env.group, channel="elsewhere",
-                      payload=env.payload, signer_ref=env.signer_ref,
-                      signature=env.signature)
-    sessions[0].handle(moved, 0.0)
-    assert sessions[0].stats["wrong_scope"] == 1
 
 
 def test_equivocation_keeps_first_element(make_members):

@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from ivlog import IvLog
-from lcmsec import discovery, session, wire
+from lcmsec import discovery, gka, session, wire
 from lcmsec.errors import CounterExhausted, NoKey
 from lcmsec.gka import LocalIdentity
 from lcmsec.node import LcmsecNode
@@ -92,8 +92,8 @@ def test_convergence_under_loss(make_cluster):
                                       delay_mu=0.025, delay_sigma=0.005)
     runner.start_all()
     assert settle(runner, nodes)
-    assert len({n._group_driver.seed for n in nodes}) == 1
-    assert len({n._channel_drivers["chatter"].seed for n in nodes}) == 1
+    assert len({n.drivers[""].seed for n in nodes}) == 1
+    assert len({n.drivers["chatter"].seed for n in nodes}) == 1
 
     runner.publish(2, "chatter", b"made it through")
     runner.run_until(net.now + 2.0)
@@ -123,8 +123,8 @@ def test_late_joiner_rekeys_running_group(make_cluster, member_factory,
     assert all(n.group_epoch == 2 for n in nodes)
     assert all(n.channel_epoch("chatter") == 2 for n in nodes)
     assert late.group_epoch == 1
-    assert len({n._group_driver.seed for n in everyone}) == 1
-    assert len({n._channel_drivers["chatter"].seed for n in everyone}) == 1
+    assert len({n.drivers[""].seed for n in everyone}) == 1
+    assert len({n.drivers["chatter"].seed for n in everyone}) == 1
 
     runner.publish(3, "chatter", b"newcomer speaks")
     runner.run_until(net.now + 1.0)
@@ -163,7 +163,7 @@ def test_counter_exhaustion_forces_rekey_and_resumes(make_cluster):
 
 def failed_agreements(nodes) -> int:
     return sum(d.stats.get("agreements_failed", 0)
-               for n in nodes for d in n._all_drivers())
+               for n in nodes for d in n.drivers.values())
 
 
 @pytest.mark.parametrize("n, seed", [(2, 3), (4, 7)])
@@ -348,18 +348,18 @@ class CountingEndpoint(UdpEndpoint):
         super().send(datagram)
 
 
-def test_udp_pair_sends_each_round_once(member_factory, roots):
+def test_udp_pair_sends_each_round_once(member_factory, roots, monkeypatch):
     # multicast loops every datagram back to its sender, which is what
     # the simulator never does; a node's own rounds used to buy it
     # straggler help, so a lossless set-up sent most rounds twice. The
     # timed resend is pushed out so a stalled host cannot add a copy.
     group = "239.255.77.6:17776"
-    timing = discovery.DiscoveryTiming(gka_rebroadcast=30.0)
+    monkeypatch.setattr(gka, "REBROADCAST_INTERVAL", 30.0)
     runners = []
     for uid in (1, 2):
         cert, key = member_factory(group, ("*",), uid=uid)
         node = LcmsecNode(LocalIdentity(uid, cert, key), roots, group,
-                          ("chatter",), random.Random(uid), timing=timing)
+                          ("chatter",), random.Random(uid))
         runners.append(UdpRunner(node, CountingEndpoint(group)))
     try:
         for r in runners:
@@ -380,6 +380,25 @@ def test_udp_pair_sends_each_round_once(member_factory, roots):
             for kind in (wire.MsgKind.GKA_ROUND1, wire.MsgKind.GKA_ROUND2)}
     assert [r.endpoint.rounds for r in runners] == [once, once]
     assert failed_agreements([a, b]) == 0
+
+
+def test_default_rng_is_the_os_csprng(member_factory, roots):
+    # the node's rng draws the agreement's secret scalars; without one it
+    # must be the OS CSPRNG, never a Mersenne Twister whose other draws
+    # (deadlines, delays, jitter) are visible on the wire
+    group = fresh_group()
+    runner = SimRunner(SimNet(seed=8))
+    nodes = []
+    for uid in (1, 2, 3):
+        cert, key = member_factory(group, ("*",), uid=uid)
+        nodes.append(LcmsecNode(LocalIdentity(uid, cert, key), roots, group,
+                                ("chatter",)))
+        runner.add(nodes[-1])
+    assert all(type(n.rng) is random.SystemRandom for n in nodes)
+    runner.start_all()
+    assert settle(runner, nodes)
+    assert len({n.group_seed for n in nodes}) == 1
+    assert len({n.channel_seed("chatter") for n in nodes}) == 1
 
 
 def test_publish_before_ready_raises(make_cluster):
@@ -423,7 +442,7 @@ def _run_once(make_cluster, identities, group, seed):
         if wire.peek_magic(dg) == wire.MAGIC_MANAGEMENT else None)
     runner.start_all()
     assert settle(runner, nodes)
-    return counts, nodes[0]._group_driver.seed
+    return counts, nodes[0].drivers[""].seed
 
 
 def test_identical_seeds_reproduce_runs(make_cluster, member_factory):
