@@ -35,7 +35,7 @@ from .identity import (CertificateAuthority, DomainUrn, PeerCertificate,
                        load_private_key, load_root_store, save_certificate,
                        save_private_key)
 from .node import LcmsecNode
-from .session import DEFAULT_GRACE, DEFAULT_MTU, DEFAULT_WINDOW
+from .session import DEFAULT_MTU
 from .transport import SimNet, SimRunner, UdpEndpoint, UdpRunner
 
 log = logging.getLogger("lcmsec.cli")
@@ -60,23 +60,18 @@ class SessionConfig:
     key: str | None = None
     roots: str | None = None
     mtu: int = DEFAULT_MTU
-    replay_window: int = DEFAULT_WINDOW
-    epoch_grace: float = DEFAULT_GRACE
     ttl: int = 0
 
     def __post_init__(self):
         if not self.group:
             raise ValueError("group is required")
-        if self.replay_window <= 0 or self.replay_window % 32:
-            raise ValueError("replay_window must be a positive multiple "
-                             "of 32")
         if self.mtu < 64:
             raise ValueError(f"mtu {self.mtu} is below the 64-byte floor")
 
 
 _CONFIG_FIELDS = {
     "group": str, "channels": str, "cert": str, "key": str, "roots": str,
-    "mtu": int, "replay_window": int, "epoch_grace": float, "ttl": int,
+    "mtu": int, "ttl": int,
 }
 
 
@@ -165,8 +160,7 @@ def _load_identity(cfg: SessionConfig) -> tuple[LocalIdentity, list]:
 def _build_node(cfg: SessionConfig, channels,
                 node_cls=LcmsecNode) -> tuple[LcmsecNode, UdpEndpoint]:
     ident, roots = _load_identity(cfg)
-    node = node_cls(ident, roots, cfg.group, channels, mtu=cfg.mtu,
-                    window_size=cfg.replay_window, grace=cfg.epoch_grace)
+    node = node_cls(ident, roots, cfg.group, channels, mtu=cfg.mtu)
     return node, UdpEndpoint(cfg.group, ttl=cfg.ttl)
 
 

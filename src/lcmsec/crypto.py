@@ -33,16 +33,11 @@ _SIG_HASH = ec.ECDSA(hashes.SHA256())
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """Epoch-scoped symmetric secret derived from one key agreement.
-
-    ``scope`` is the channel name the material protects, with the empty
-    string meaning the group-wide channel-name key.
-    """
+    """Symmetric secret derived from one key agreement: an AES-128 key and
+    the salt that keeps its IVs apart from other keys' IVs."""
 
     key: bytes
     salt: int
-    epoch: int
-    scope: str
     #: cipher objects bound once: building them costs more than the block
     #: work of one datagram, and the data path uses them for every datagram.
     #: They are shared by every caller of this key; the package drives a
@@ -121,8 +116,7 @@ def hkdf_bytes(seed: bytes, context: bytes, length: int) -> bytes:
                 info=context).derive(seed)
 
 
-def kdf_expand(session_seed: bytes, context: bytes, *, epoch: int = 0,
-               scope: str = "") -> KeyMaterial:
+def kdf_expand(session_seed: bytes, context: bytes) -> KeyMaterial:
     """Derive key material from an agreed session seed.
 
     One 18-byte expand stream: 16 key bytes then 2 salt bytes. ``context``
@@ -130,7 +124,7 @@ def kdf_expand(session_seed: bytes, context: bytes, *, epoch: int = 0,
     """
     out = hkdf_bytes(session_seed, context, KEY_LEN + 2)
     salt = int.from_bytes(out[KEY_LEN:], "big")
-    return KeyMaterial(key=out[:KEY_LEN], salt=salt, epoch=epoch, scope=scope)
+    return KeyMaterial(key=out[:KEY_LEN], salt=salt)
 
 
 def key_context(group: str, channel: str, instance_id: int) -> bytes:

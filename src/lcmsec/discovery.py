@@ -7,10 +7,10 @@ participants, then more joiners, then the earliest deadline. At the deadline
 the view freezes and the key agreement runs over it; on success the joiners
 become participants, on failure everything resets and discovery restarts.
 
-Each agreement run gets a fresh instance id: one more than the highest id
-this node has attempted, completed, or seen advertised. Responses gossip the
-floor, and verified agreement traffic with a newer id pulls stragglers
-forward, so replayed runs can never be mistaken for current ones.
+Each agreement run gets a fresh instance id: one more than the driver's
+floor, the highest id this node has attempted or seen advertised. Responses
+gossip the floor, and verified agreement traffic with a newer id pulls
+stragglers forward, so replayed runs can never be mistaken for current ones.
 
 The driver is the node's only signature check for control traffic, and it
 checks only messages that could change something. Every cheap check runs
@@ -35,10 +35,9 @@ from enum import Enum
 from hashlib import sha256
 
 from .errors import (Expired, MalformedUrn, NotAuthorized, NonCanonical,
-                     StaleInstance, Truncated)
-from .gka import (GkaPhase, GkaSession, InstanceLedger, JoinMode,
-                  KeyAgreeMode, LocalIdentity, RingConfig, build_join_ring,
-                  sign_envelope)
+                     Truncated)
+from .gka import (GkaPhase, GkaSession, JoinMode, KeyAgreeMode,
+                  LocalIdentity, RingConfig, build_join_ring, sign_envelope)
 from .identity import LCMDomain, PeerCertificate, authorize, verify_chain
 from .wire import (ManagementEnvelope, MsgKind, encode_join_payload,
                    encode_join_response_payload, parse_gka_payload,
@@ -166,8 +165,9 @@ class DiscoveryDriver:
 
     All methods return envelopes to broadcast. Completed or failed
     agreements surface through :meth:`take_events`. ``chains`` holds the
-    chain verdicts the node's drivers share; the instance ledger is the
-    driver's own, since no other scope reads it.
+    chain verdicts the node's drivers share. ``floor`` is the highest
+    instance id this driver attempted or took from authenticated traffic;
+    the driver alone decides which instance ids are fresh.
     """
 
     def __init__(self, scope: LCMDomain, identity: LocalIdentity,
@@ -175,7 +175,7 @@ class DiscoveryDriver:
         self.scope = scope
         self.identity = identity
         self.chains = chains
-        self.ledger = InstanceLedger()
+        self.floor = 0
         self.rng = rng
         self.phase = Phase.IDLE
         self.state = DiscoveryState()
@@ -270,7 +270,7 @@ class DiscoveryDriver:
             self._gossip_at = None
         if self.phase is Phase.GATHERING and self._now_ms(now) >= \
                 self.state.t_ms:
-            out.extend(self._freeze(now, self.ledger.floor + 1))
+            out.extend(self._freeze(now, self.floor + 1))
         if self._session is not None and self.phase is Phase.AGREEING:
             out.extend(self._session.on_timer(now))
             out.extend(self._settle(now))
@@ -378,10 +378,10 @@ class DiscoveryDriver:
                 floor = parse_join_response_payload(env.payload)[3]
             except (Truncated, NonCanonical, ValueError):
                 return self._drop("malformed_response")
-            if floor > self.ledger.floor:
+            if floor > self.floor:
                 signer = self._known.get(env.signer_ref)
                 if signer is not None and verify_envelope(env, signer[1]):
-                    self.ledger.record_attempt(floor)
+                    self.floor = floor
             return self._drop("response_ignored")
         try:
             t_ms, p_ders, j_ders, floor = parse_join_response_payload(
@@ -420,7 +420,7 @@ class DiscoveryDriver:
         incoming = DiscoveryState(participants=participants, joining=joining,
                                   t_ms=t_ms)
         merged = merge_max(self.state, incoming)
-        floor_now = self.ledger.floor
+        floor_now = self.floor
         if merged is self.state and floor <= floor_now:
             # an equal view and floor is news only to the gossip timer,
             # and one verified copy per tick is enough to skip that tick
@@ -433,7 +433,7 @@ class DiscoveryDriver:
             return self._drop("view_echo")
         if not verify_envelope(env, signer[1]):
             return self._drop("bad_signature")
-        self.ledger.record_attempt(floor)
+        self.floor = max(floor_now, floor)
         if merged is not self.state:
             self.state = self._keep_self(merged)
             if self.phase is Phase.COMMITTED and \
@@ -449,13 +449,13 @@ class DiscoveryDriver:
         """Another node's authenticated view: what it shows it holds."""
         if self.identity.uid in view.joining:
             self._join_resend_at = None     # our JOIN has been heard
-        if floor == self.ledger.floor and compare(view, self.state) == 0:
+        if floor == self.floor and compare(view, self.state) == 0:
             self._echo = (self.state, floor)
 
     def _echoed(self) -> bool:
         echo = self._echo
         return (echo is not None and echo[0] is self.state
-                and echo[1] == self.ledger.floor)
+                and echo[1] == self.floor)
 
     def _handle_gka(self, env: ManagementEnvelope, now: float
                     ) -> list[ManagementEnvelope]:
@@ -475,7 +475,7 @@ class DiscoveryDriver:
         helps = (done is not None and instance == done.config.instance_id
                  and done.sent and now >= self._next_help
                  and uid in done.config.uids)
-        floor = self.ledger.floor
+        floor = self.floor
         session = self._session if self.phase is Phase.AGREEING else None
         if instance <= floor and not helps and (
                 session is None or instance != session.config.instance_id):
@@ -491,9 +491,8 @@ class DiscoveryDriver:
                        or uid in self.state.joining)
             if self.phase is Phase.GATHERING and round_no == 1 and present:
                 # a co-member already reached its deadline: freeze with it
-                # (before lifting the floor, or the new session looks stale)
                 out.extend(self._freeze(now, instance))
-            self.ledger.record_attempt(instance)
+            self.floor = instance
         if self._session is not None and self.phase is Phase.AGREEING:
             session = self._session
             if (instance == session.config.instance_id
@@ -608,7 +607,7 @@ class DiscoveryDriver:
             self.state.t_ms,
             [(u, c.der) for u, c in self.state.participants.items()],
             [(u, c.der) for u, c in self.state.joining.items()],
-            self.ledger.floor)
+            self.floor)
         return sign_envelope(MsgKind.JOIN_RESPONSE, self.scope, self.identity,
                              payload)
 
@@ -658,13 +657,11 @@ class DiscoveryDriver:
         config = RingConfig(scope=self.scope, participants=ring,
                             my_index=my_index, instance_id=instance_id,
                             mode=mode)
-        session = GkaSession(config, self.identity, self.ledger,
-                             passive=passive, rng=self.rng)
-        try:
-            out = session.start(now)
-        except StaleInstance:
-            self._restart_after_failure("instance id raced")
-            return list(self._restart(now))
+        session = GkaSession(config, self.identity, passive=passive,
+                             rng=self.rng)
+        out = session.start(now)
+        # callers pass floor + 1 or a verified round's newer id
+        self.floor = instance_id
         self._session = session
         self.phase = Phase.AGREEING
         self._join_resend_at = None

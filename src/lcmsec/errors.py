@@ -69,12 +69,6 @@ class InconsistentFragment(LcmsecError):
     """Fragments of one message disagree on totals, lengths, or contents."""
 
 
-# --- key agreement ----------------------------------------------------------
-
-class StaleInstance(LcmsecError):
-    """Instance id not greater than an already completed or attempted one."""
-
-
 # --- session ----------------------------------------------------------------
 
 class NoKey(LcmsecError):

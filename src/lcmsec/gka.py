@@ -10,9 +10,10 @@ the joiners. The first incumbent's scalar is derived from the previous
 session seed, which lets every other incumbent replay the exchange from
 broadcast traffic alone and stay silent.
 
-Every message carries the agreement's instance id. Ids only ever grow within
-one scope and completed ids are remembered per sender, so captured round
-messages replayed later target an instance that can no longer exist.
+Every message carries the agreement's instance id, and a session accepts
+only its own. The discovery driver picks ids above every id it has attempted
+or seen, so captured round messages replayed later target an instance that
+no longer runs.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from cryptography.hazmat.primitives.asymmetric import ec
 
 from . import crypto
 from .ecgroup import P256
-from .errors import InvalidElement, StaleInstance
+from .errors import InvalidElement
 from .identity import LCMDomain, PeerCertificate
 from .wire import (ManagementEnvelope, MsgKind, encode_gka_payload,
                    parse_gka_payload, signed_region)
@@ -131,28 +132,6 @@ class RingConfig:
         return [uid for uid, _ in self.participants]
 
 
-class InstanceLedger:
-    """Remembers one scope's instance ids so no id is ever accepted twice.
-
-    ``floor`` is the highest id attempted or completed; completed ids are
-    also tracked per sender for replay rejection. Each discovery driver
-    owns the ledger of its scope.
-    """
-
-    def __init__(self):
-        self.floor = 0
-        self._completed: dict[int, int] = {}
-
-    def record_attempt(self, instance_id: int):
-        self.floor = max(self.floor, instance_id)
-
-    def completed(self, uid: int) -> int:
-        return self._completed.get(uid, 0)
-
-    def record_completed(self, uid: int, instance_id: int):
-        self._completed[uid] = max(self._completed.get(uid, 0), instance_id)
-
-
 class GkaPhase(Enum):
     INIT = "init"
     R1_SENT = "r1-sent"
@@ -168,17 +147,17 @@ class GkaSession:
     ``passive=True`` and a config whose ``my_index`` points at the first
     representative, whose view it reconstructs without transmitting.
 
-    Signatures, scope and kind are not checked here: the discovery driver
-    checks them before handing an envelope in. The session checks that the
+    Signatures, scope, kind and the freshness of the instance id are not
+    checked here: the discovery driver checks them before handing an
+    envelope in or starting a session. The session checks that the
     signer is the ring member the payload names. ``sent`` holds the rounds
     this member broadcast, in order.
     """
 
-    def __init__(self, config: RingConfig, identity: LocalIdentity,
-                 ledger: InstanceLedger, *, passive: bool = False, rng=None):
+    def __init__(self, config: RingConfig, identity: LocalIdentity, *,
+                 passive: bool = False, rng=None):
         self.config = config
         self.identity = identity
-        self.ledger = ledger
         self.passive = passive
         self.phase = GkaPhase.INIT
         self.seed: bytes | None = None
@@ -218,11 +197,6 @@ class GkaSession:
     def start(self, now: float) -> list[ManagementEnvelope]:
         if self.phase is not GkaPhase.INIT:
             return []
-        if self.config.instance_id <= self.ledger.floor:
-            raise StaleInstance(
-                f"instance {self.config.instance_id} not above ledger floor "
-                f"{self.ledger.floor}")
-        self.ledger.record_attempt(self.config.instance_id)
         self._z[self.config.my_index] = self._my_z
         self.phase = GkaPhase.R1_SENT
         self._deadline = now + ROUND_TIMEOUT
@@ -247,8 +221,6 @@ class GkaSession:
             return self._drop("wrong_instance")
         if uid not in self._index_of:
             return self._drop("unknown_sender")
-        if instance <= self.ledger.completed(uid):
-            return self._drop("stale_instance")
         signer_uid = self._uid_by_ref.get(env.signer_ref)
         if signer_uid is None:
             return self._drop("unknown_sender")
@@ -367,5 +339,3 @@ class GkaSession:
         folded = reduce(P256.op, right_keys)
         self.seed = P256.serialize(folded)
         self.phase = GkaPhase.DONE
-        for uid in self.config.uids:
-            self.ledger.record_completed(uid, self.config.instance_id)

@@ -22,8 +22,7 @@ from .discovery import ChainVerdicts, CommitResult, DiscoveryDriver, Phase
 from .errors import CounterExhausted, LcmsecError
 from .gka import LocalIdentity
 from .identity import LCMDomain
-from .session import (DEFAULT_GRACE, DEFAULT_MTU, DEFAULT_WINDOW, Session,
-                      material_epoch)
+from .session import DEFAULT_MTU, Session
 
 log = logging.getLogger(__name__)
 
@@ -40,14 +39,13 @@ class LcmsecNode:
     """
 
     def __init__(self, identity: LocalIdentity, roots, group: str,
-                 channels=(), rng=None, *, mtu=DEFAULT_MTU,
-                 window_size=DEFAULT_WINDOW, grace=DEFAULT_GRACE):
+                 channels=(), rng=None, *, mtu=DEFAULT_MTU):
         self.identity = identity
         self.group = group
         self.channels = tuple(dict.fromkeys(channels))
         self.rng = rng or random.SystemRandom()
         self.session = Session(group, self.channels, cert=identity.cert,
-                               mtu=mtu, window_size=window_size, grace=grace)
+                               mtu=mtu)
         chains = ChainVerdicts(roots)
         self.drivers = {
             ch: DiscoveryDriver(LCMDomain(group, ch), identity, chains,
@@ -168,8 +166,7 @@ class LcmsecNode:
     def _on_group_commit(self, result: CommitResult, now: float):
         self._group_result = result
         material = kdf_expand(
-            result.seed, key_context(self.group, "", result.instance_id),
-            epoch=result.epoch, scope="")
+            result.seed, key_context(self.group, "", result.instance_id))
         # the counter resets, so every keyed channel re-keys in the same call
         channels = {ch: self._channel_material(ch, r)
                     for ch, r in self._channel_results.items()}
@@ -198,5 +195,4 @@ class LcmsecNode:
         return kdf_expand(
             result.seed, channel_key_context(
                 self.group, channel, result.instance_id, group.seed,
-                group.instance_id),
-            epoch=material_epoch(group.epoch, result.epoch), scope=channel)
+                group.instance_id))

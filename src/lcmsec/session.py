@@ -26,8 +26,10 @@ from .wire import (FRAGMENT_SENDER, MAGIC_FRAGMENT, MAGIC_PLAIN,
                    try_unpack_secure)
 
 DEFAULT_MTU = 1400
-DEFAULT_WINDOW = 1024
-DEFAULT_GRACE = 10.0
+#: sequence numbers a replay window spans; one window per sender and key
+WINDOW = 1024
+#: seconds a replaced key still opens datagrams sealed before the re-key
+GRACE = 10.0
 
 _SEQNO_LIMIT = 0xFFFFFFFF
 
@@ -67,7 +69,7 @@ class ReplayWindow:
     window (offset >= size from the highest seen) are rejected as stale.
     """
 
-    def __init__(self, size: int = DEFAULT_WINDOW):
+    def __init__(self, size: int = WINDOW):
         if size <= 0 or size % 32:
             raise ValueError("window size must be a positive multiple of 32")
         self.size = size
@@ -98,45 +100,47 @@ class ReplayWindow:
         return True
 
 
-def material_epoch(group_epoch: int, channel_epoch: int) -> int:
-    """The epoch of channel material: (group epoch, channel epoch) in one int.
+class KeySlot:
+    """One installed key, the time it stops opening datagrams (None while
+    it is its scope's newest) and the replay windows, by sender id, of the
+    senders heard under it. The windows live and die with their key."""
 
-    A group commit re-derives every channel key under the new group epoch
-    and keeps the channel epoch, so only the pair tells two keys of one
-    channel apart in the key store and the replay windows.
-    """
-    return group_epoch << 32 | channel_epoch
+    __slots__ = ("material", "expires", "windows")
+
+    def __init__(self, material: KeyMaterial):
+        self.material = material
+        self.expires: float | None = None
+        self.windows: dict[int, ReplayWindow] = {}
 
 
 class KeyStore:
-    """Newest-first key material, old epoch kept for a grace period.
+    """Newest-first key slots, the replaced key kept for :data:`GRACE`.
 
     Live lists are cached until the earliest grace expiry among their
     entries, since the store is consulted for every single datagram.
-    Channel material carries a :func:`material_epoch`, so a group re-key
-    installs a new channel epoch and the old key serves out its grace.
+    Installing the key that is already newest changes nothing, so its
+    windows stay and an identical reinstall cannot reopen replays.
     """
 
-    def __init__(self, grace: float = DEFAULT_GRACE):
-        self.grace = grace
-        self._group: list[list] = []              # [material, expires_at]
-        self._channels: dict[str, list[list]] = {}
-        self._cache: dict[str | None, tuple[list[KeyMaterial], float]] = {}
+    def __init__(self):
+        self._group: list[KeySlot] = []
+        self._channels: dict[str, list[KeySlot]] = {}
+        self._cache: dict[str | None, tuple[list[KeySlot], float]] = {}
 
-    def _install(self, slots: list[list], material: KeyMaterial,
-                 now: float) -> list[list]:
-        if slots and slots[0][0].epoch == material.epoch:
-            slots[0][0] = material
+    def _install(self, slots: list[KeySlot], material: KeyMaterial,
+                 now: float) -> list[KeySlot]:
+        if slots and slots[0].material == material:
             return slots
         kept = slots[:1]
         for slot in kept:
-            slot[1] = now + self.grace
-        return [[material, None]] + kept
+            slot.expires = now + GRACE
+        return [KeySlot(material)] + kept
 
-    def _live(self, label: str | None, slots: list[list],
-              now: float) -> list[KeyMaterial]:
-        live = [m for m, expiry in slots if expiry is None or now < expiry]
-        until = min((e for _, e in slots if e is not None and now < e),
+    def _live(self, label: str | None, slots: list[KeySlot],
+              now: float) -> list[KeySlot]:
+        live = [s for s in slots if s.expires is None or now < s.expires]
+        until = min((s.expires for s in slots
+                     if s.expires is not None and now < s.expires),
                     default=math.inf)
         self._cache[label] = (live, until)
         return live
@@ -151,20 +155,17 @@ class KeyStore:
         self._channels[channel] = self._install(slots, material, now)
         self._cache.pop(channel, None)
 
-    def group_keys(self, now: float) -> list[KeyMaterial]:
+    def group_slots(self, now: float) -> list[KeySlot]:
         hit = self._cache.get(None)
         if hit is not None and now < hit[1]:
             return hit[0]
         return self._live(None, self._group, now)
 
-    def channel_keys(self, channel: str, now: float) -> list[KeyMaterial]:
+    def channel_slots(self, channel: str, now: float) -> list[KeySlot]:
         hit = self._cache.get(channel)
         if hit is not None and now < hit[1]:
             return hit[0]
         return self._live(channel, self._channels.get(channel, []), now)
-
-    def channel_epochs(self, channel: str) -> set[int]:
-        return {m.epoch for m, _ in self._channels.get(channel, [])}
 
 
 @dataclass
@@ -191,18 +192,15 @@ class Session:
 
     def __init__(self, group: str, subscriptions=(), *,
                  cert: PeerCertificate | None = None,
-                 mtu: int = DEFAULT_MTU, window_size: int = DEFAULT_WINDOW,
-                 grace: float = DEFAULT_GRACE):
+                 mtu: int = DEFAULT_MTU):
         self.group = group
         self.subscriptions = set(subscriptions)
         self.cert = cert
         self.mtu = mtu
-        self.window_size = window_size
-        self.keys = KeyStore(grace)
+        self.keys = KeyStore()
         self.counter = SendCounter()
         self.sender_id: int | None = None
         self.stats = SessionStats()
-        self._windows: dict[tuple[str, int, int], ReplayWindow] = {}
         self._reassembly = ReassemblyBuffer()
         self._publishable: dict[str, bool] = {}
         #: channel -> :meth:`_send_context`, cleared by every install
@@ -232,10 +230,6 @@ class Session:
                         now: float):
         self.keys.install_channel(channel, material, now)
         self._sending.pop(channel, None)
-        keep = self.keys.channel_epochs(channel)
-        for key in [k for k in self._windows
-                    if k[0] == channel and k[2] not in keep]:
-            del self._windows[key]
 
     # --------------------------------------------------------------- publish
 
@@ -266,16 +260,17 @@ class Session:
             raise BadName(repr(channel))
         name_nul = name + b"\x00"
         self._check_publishable(channel)
-        group_keys = self.keys.group_keys(now)
-        if not group_keys or self.sender_id is None:
+        group_slots = self.keys.group_slots(now)
+        if not group_slots or self.sender_id is None:
             raise NoKey("group epoch not established")
-        channel_keys = self.keys.channel_keys(channel, now)
-        if not channel_keys:
+        channel_slots = self.keys.channel_slots(channel, now)
+        if not channel_slots:
             raise NoKey(f"no key material for channel {channel!r}")
         # the newest key of a scope never expires, so this holds until an
         # install clears it
         ctx = self._sending[channel] = (
-            name_nul, group_keys[0], channel_keys[0], self.sender_id,
+            name_nul, group_slots[0].material, channel_slots[0].material,
+            self.sender_id,
             self.mtu - SECURE_HEADER_LEN - len(name_nul) - TAG_LEN)
         return ctx
 
@@ -364,12 +359,13 @@ class Session:
         packets, whose name boundary only a group key holder can find; their
         tail is ``sealed_tail`` from ``start`` on, so it is not copied out
         of the datagram first."""
-        group_keys = self.keys.group_keys(now)
-        if not group_keys:
+        group_slots = self.keys.group_slots(now)
+        if not group_slots:
             self.stats.drop("no_group_key")
             return None
         reason = "garbled_name"
-        for k_g in group_keys:
+        for g_slot in group_slots:
+            k_g = g_slot.material
             iv_g = build_iv(k_g.salt, sender_id, seqno)
             if enc_name is None:
                 bound = min(MAX_CHANNELNAME, len(sealed_tail) - start - 16)
@@ -402,22 +398,21 @@ class Session:
                 reason = "unsubscribed"
                 continue
             self._channel_of[name_nul] = channel
-            channel_keys = self.keys.channel_keys(channel, now)
-            if not channel_keys:
+            channel_slots = self.keys.channel_slots(channel, now)
+            if not channel_slots:
                 reason = "no_channel_key"
                 continue
-            for k_ch in channel_keys:
+            for slot in channel_slots:
+                k_ch = slot.material
                 iv_ch = build_iv(k_ch.salt, sender_id, seqno)
                 try:
                     payload = aead_open(k_ch, iv_ch, sealed, aad=name_nul)
                 except (AuthFailure, TooShort):
                     reason = "auth_failure"
                     continue
-                key = (channel, sender_id, k_ch.epoch)
-                window = self._windows.get(key)
+                window = slot.windows.get(sender_id)
                 if window is None:
-                    window = self._windows[key] = ReplayWindow(
-                        self.window_size)
+                    window = slot.windows[sender_id] = ReplayWindow()
                 if not window.check(seqno):
                     self.stats.drop("replayed")
                     return None

@@ -250,6 +250,9 @@ class ReassemblyBuffer:
       carrying more than the declared length plus ``MAX_CHANNELNAME``, is
       refused before anything is stored or evicted; a later fragment that
       would take its slot's sections past that length drops the slot.
+    - A fragment contradicting its slot's totals or an earlier copy of
+      itself is refused and the slot kept: the first copy wins, so one
+      injected copy cannot kill a message whose genuine copy came first.
 
     Expiry assumes ``now`` does not step backwards; if it does, slots only
     expire later than they should, and the caps still bound memory.
@@ -320,14 +323,12 @@ class ReassemblyBuffer:
         if slot is None:
             slot = self._open(key, f, now)
         if full_len != slot.full_len or total != slot.total:
-            self._drop(key)
             raise InconsistentFragment(
                 "conflicting totals for one message id")
         parts = slot.parts
         prior = parts.get(no)
         if prior is not None:
             if prior != (offset, section):
-                self._drop(key)
                 raise InconsistentFragment("conflicting duplicate fragment")
             return None
         section_bytes = slot.section_bytes + len(section)

@@ -25,9 +25,8 @@ from lcmsec.cli import (bench_discovery_run, bench_latency_udp_source,
                         load_config)
 from lcmsec.crypto import KeyMaterial
 from lcmsec.discovery import DiscoveryState, compare, merge_max
-from lcmsec.gka import (GkaPhase, GkaSession, InstanceLedger, JoinMode,
-                        LocalIdentity, RingConfig, build_join_ring,
-                        representative_uids)
+from lcmsec.gka import (GkaPhase, GkaSession, JoinMode, LocalIdentity,
+                        RingConfig, build_join_ring, representative_uids)
 from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
                              PeerCertificate, save_certificate,
                              save_private_key)
@@ -65,13 +64,11 @@ def _paired_sessions(rng, channels) -> tuple[Session, Session]:
     group = _fresh_group()
     a = Session(group, channels)
     b = Session(group, channels)
-    k_g = KeyMaterial(key=rng.randbytes(16), salt=rng.getrandbits(16),
-                      epoch=1, scope="")
+    k_g = KeyMaterial(key=rng.randbytes(16), salt=rng.getrandbits(16))
     a.install_group(k_g, 1, 0.0)
     b.install_group(k_g, 2, 0.0)
     for name in channels:
-        k_ch = KeyMaterial(key=rng.randbytes(16), salt=rng.getrandbits(16),
-                           epoch=1, scope=name)
+        k_ch = KeyMaterial(key=rng.randbytes(16), salt=rng.getrandbits(16))
         a.install_channel(name, k_ch, 0.0)
         b.install_channel(name, k_ch, 0.0)
     return a, b
@@ -149,12 +146,11 @@ def _manual_join(scope, by_uid, p_uids, j_uids, d, prev_seed, rng):
     actives = [GkaSession(RingConfig(scope=scope, participants=ring,
                                      my_index=ring_uids.index(u),
                                      instance_id=d, mode=mode),
-                          by_uid[u], InstanceLedger(),
-                          rng=random.Random(rng.getrandbits(32)))
+                          by_uid[u], rng=random.Random(rng.getrandbits(32)))
                for u in ring_uids]
     passives = [GkaSession(RingConfig(scope=scope, participants=ring,
                                       my_index=0, instance_id=d, mode=mode),
-                           by_uid[u], InstanceLedger(), passive=True)
+                           by_uid[u], passive=True)
                 for u in sorted(set(p_uids) - set(reps))]
     return actives, passives, reps
 
@@ -505,11 +501,10 @@ def test_criterion_10_foreign_certificate_locked_out(tmp_path,
 
         # layer three: injected data under made-up keys is all dropped
         evil = Session(group, ("private",))
-        evil.install_group(KeyMaterial(key=rng.randbytes(16), salt=3,
-                                       epoch=1, scope=""), 3, now)
+        evil.install_group(KeyMaterial(key=rng.randbytes(16), salt=3), 3,
+                           now)
         evil.install_channel("private", KeyMaterial(key=rng.randbytes(16),
-                                                    salt=4, epoch=1,
-                                                    scope="private"), now)
+                                                    salt=4), now)
         injected = []
         for _ in range(10):
             injected.extend(evil.publish("private",

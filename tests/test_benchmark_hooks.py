@@ -19,10 +19,10 @@ from pathlib import Path
 
 from lcmsec import LcmsecNode, wire
 from lcmsec.ecgroup import P256
-from lcmsec.gka import (GkaPhase, GkaSession, InstanceLedger, LocalIdentity,
-                        RingConfig)
+from lcmsec.gka import GkaPhase, GkaSession, LocalIdentity, RingConfig
 from lcmsec.identity import LCMDomain
-from lcmsec.transport import UdpEndpoint
+from lcmsec.session import ReplayWindow
+from lcmsec.transport import SimNet, SimRunner, UdpEndpoint
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -90,7 +90,7 @@ def test_agreement_multiplies_only_through_p256_exp(monkeypatch,
     sessions = [GkaSession(RingConfig(scope=LCMDomain(group, ""),
                                       participants=ring, my_index=i,
                                       instance_id=1),
-                           m, InstanceLedger(), rng=random.Random(i))
+                           m, rng=random.Random(i))
                 for i, m in enumerate(members)]
     queue = [env for s in sessions for env in s.start(0.0)]
     while queue:
@@ -116,3 +116,39 @@ def test_workload_nodes_construct(monkeypatch, tmp_path):
     inspect.signature(LcmsecNode).bind(
         incumbents[0].identity, [], udp_paths.GROUP, udp_paths.CHANNELS,
         rng=random.Random(0), mtu=udp_paths.MTU)
+
+
+def test_live_node_names_read_at_run_time(monkeypatch, member_factory,
+                                          roots):
+    # udp_paths.py and membership.py read these off running nodes, and the
+    # traced session.replay.check span wraps ReplayWindow.check: a replay
+    # check that no longer went through it would read "not called"
+    checks = []
+    check = ReplayWindow.check
+
+    def counted(self, seqno):
+        checks.append(seqno)
+        return check(self, seqno)
+
+    monkeypatch.setattr(ReplayWindow, "check", counted)
+    group = "239.9.255.2:7667"
+    runner = SimRunner(SimNet(seed=1))
+    nodes = []
+    for uid in (1, 2):
+        ident = LocalIdentity(uid, *member_factory(group, uid=uid))
+        nodes.append(LcmsecNode(ident, roots, group, ("chatter",),
+                                random.Random(uid)))
+        runner.add(nodes[-1])
+    runner.start_all()
+    assert runner.run_while(lambda: not all(n.ready for n in nodes), 30.0)
+    pub, sub = nodes
+    now = runner.net.now
+    (datagram,) = pub.publish("chatter", b"once", now)
+    for _ in range(2):
+        sub.handle_datagram(datagram, now)
+    assert sub.take_deliveries() == [("chatter", b"once")]
+    assert checks == [0, 0]
+    assert sub.session.stats.delivered == 1
+    assert sub.session.stats.drops.get("replayed") == 1
+    assert {n.session.sender_id for n in nodes} == {1, 2}
+    assert all(n.stats["foreign_scope"] == 0 for n in nodes)

@@ -42,14 +42,11 @@ def test_parse_config_roundtrip():
         group = 239.255.76.67:7667
         channels = chatter, status
         mtu = 900          # small for tests
-        replay_window = 64
-        epoch_grace = 2.5
         ttl = 1
     """)
     assert cfg.group == "239.255.76.67:7667"
     assert cfg.channels == ("chatter", "status")
-    assert cfg.mtu == 900 and cfg.replay_window == 64
-    assert cfg.epoch_grace == 2.5 and cfg.ttl == 1
+    assert cfg.mtu == 900 and cfg.ttl == 1
 
 
 def test_parse_config_rejects_junk():
@@ -59,8 +56,11 @@ def test_parse_config_rejects_junk():
         parse_config("group = g\ngroup = h")
     with pytest.raises(ValueError):
         parse_config("channels = a")          # group missing
-    with pytest.raises(ValueError):
-        parse_config("group = g\nreplay_window = 100")   # not a 32-multiple
+    # the replay window and the key grace are fixed; files that set them
+    # are refused like any other unknown key
+    for key in ("replay_window = 1024", "epoch_grace = 10"):
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config(f"group = g\n{key}")
     with pytest.raises(ValueError):
         SessionConfig(group="239.255.76.67:7667", mtu=40)
 

@@ -43,7 +43,7 @@ GCM_TAG_AAD = bytes.fromhex("5bc94fbc3221a5db94fae95ae7121a47")
 
 
 def material(key: bytes) -> KeyMaterial:
-    return KeyMaterial(key=key, salt=0, epoch=0, scope="")
+    return KeyMaterial(key=key, salt=0)
 
 
 def test_gcm_known_answer_no_aad():
@@ -225,11 +225,10 @@ def test_hkdf_matches_stdlib_oracle(seed, info, length):
 def test_kdf_expand_splits_key_and_salt():
     seed = b"\x33" * 33
     ctx = key_context("239.255.76.67:7667", "chatter", 5)
-    km = kdf_expand(seed, ctx, epoch=2, scope="chatter")
+    km = kdf_expand(seed, ctx)
     raw = hkdf_oracle(seed, ctx, 18)
     assert km.key == raw[:16]
     assert km.salt == int.from_bytes(raw[16:], "big")
-    assert (km.epoch, km.scope) == (2, "chatter")
 
 
 def test_key_context_separates_scopes():
@@ -249,9 +248,9 @@ def test_key_context_separates_scopes():
 
 def test_key_material_validation():
     with pytest.raises(ValueError):
-        KeyMaterial(key=b"short", salt=0, epoch=0, scope="")
+        KeyMaterial(key=b"short", salt=0)
     with pytest.raises(ValueError):
-        KeyMaterial(key=b"k" * 16, salt=1 << 16, epoch=0, scope="")
+        KeyMaterial(key=b"k" * 16, salt=1 << 16)
 
 
 def test_derive_join_scalar_deterministic():

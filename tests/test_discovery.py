@@ -475,6 +475,39 @@ def test_early_freeze_on_observed_round1(make_drivers):
     assert a._session.config.instance_id == b._session.config.instance_id
 
 
+def committed_instances(drivers):
+    return [[r.instance_id for kind, r in d.take_events()
+             if kind == "committed"] for d in drivers]
+
+
+def test_freeze_after_an_authenticated_floor_starts_above_it(make_drivers):
+    # the driver alone decides instance freshness: b attempted instance 6
+    # before, its views carry that floor, and a adopts it before freezing
+    a, b = make_drivers([1, 2])
+    b.floor = 6
+    run_network([a, b])
+    assert committed_instances([a, b]) == [[7], [7]]
+    assert a.floor == b.floor == 7
+
+
+def test_freeze_after_a_failed_agreement_starts_above_it(make_drivers):
+    a, b = make_drivers([1, 2])
+    deliver([a], b.initiate_join(0.0), 0.0)
+    a.initiate_join(0.0)
+    a.on_timer(a._response_at)
+    deadline = a.state.t_ms / 1000
+    a.on_timer(deadline + 0.01)
+    assert a._session.config.instance_id == 1 and a.floor == 1
+    now = deadline + 5.0
+    a.on_timer(now)                        # b never answered: failed
+    assert a.phase is Phase.GATHERING and a.floor == 1
+    (c,) = make_drivers([3], group=a.scope.group)
+    deliver([a], c.initiate_join(now), now)
+    a.on_timer(a._response_at)
+    a.on_timer(a.state.t_ms / 1000 + 0.001)
+    assert a._session.config.instance_id == 2 and a.floor == 2
+
+
 def test_force_rekey_rotates_seed(make_drivers):
     drivers = make_drivers([1, 2, 3, 4], seed_base=11)
     now = run_network(drivers)
@@ -631,13 +664,13 @@ def test_forged_response_with_news_costs_one_verification(make_drivers,
         payload=env.payload, signer_ref=env.signer_ref,
         signature=bytes(reversed(env.signature)))
     state, rng = a.state, a.rng.getstate()
-    floor, pending = a.ledger.floor, dict(a._pending)
+    floor, pending = a.floor, dict(a._pending)
     verify_calls.clear()
     assert a.handle(forged, 0.1) == []
     assert len(verify_calls) == 1
     assert a.stats["bad_signature"] == 1
     assert a.state is state and a.rng.getstate() == rng
-    assert a.ledger.floor == floor and a._pending == pending
+    assert a.floor == floor and a._pending == pending
     # the genuine one carries the same news and is taken
     assert a.handle(env, 0.1) == []
     assert set(a.state.joining) == {1, 2, 3}
@@ -679,12 +712,12 @@ def test_wrong_scope_dropped_before_any_check(make_drivers, verify_calls):
     a.on_timer(t_dead)
     env = [e for e in b.on_timer(t_dead) if e.kind is MsgKind.GKA_ROUND1][0]
     moved = dataclasses.replace(env, channel="elsewhere")
-    session, floor = a._session, a.ledger.floor
+    session, floor = a._session, a.floor
     verify_calls.clear()
     assert a.handle(moved, t_dead) == []
     assert a.stats["wrong_scope"] == 1
     assert verify_calls == []
-    assert a._session is session and a.ledger.floor == floor
+    assert a._session is session and a.floor == floor
     assert len(session._z) == 1 and session.stats == {}
     # the round as it was signed is taken
     a.handle(env, t_dead)

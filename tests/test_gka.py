@@ -11,10 +11,9 @@ import pytest
 
 from lcmsec.discovery import ChainVerdicts, DiscoveryDriver
 from lcmsec.ecgroup import P256, P256_ORDER
-from lcmsec.errors import StaleInstance
-from lcmsec.gka import (GkaPhase, GkaSession, InstanceLedger, JoinMode,
-                        KeyAgreeMode, LocalIdentity, RingConfig,
-                        build_join_ring, representative_uids)
+from lcmsec.gka import (GkaPhase, GkaSession, JoinMode, KeyAgreeMode,
+                        LocalIdentity, RingConfig, build_join_ring,
+                        representative_uids)
 from lcmsec.identity import LCMDomain
 from lcmsec.wire import (MsgKind, decode_management, encode_gka_payload,
                          encode_management)
@@ -39,7 +38,7 @@ def keyagree_sessions(scope, members, d=1, seed=0, **kw):
     ring = [(m.uid, m.cert) for m in ordered]
     return [GkaSession(RingConfig(scope=scope, participants=ring,
                                   my_index=i, instance_id=d),
-                       m, InstanceLedger(), rng=random.Random(seed * 100 + i),
+                       m, rng=random.Random(seed * 100 + i),
                        **kw)
             for i, m in enumerate(ordered)]
 
@@ -122,12 +121,11 @@ def join_setup(make_members, p_uids, j_uids, d=2):
     actives = [GkaSession(RingConfig(scope=scope, participants=ring,
                                      my_index=ring_uids.index(u),
                                      instance_id=d, mode=mode),
-                          by_uid[u], InstanceLedger(),
-                          rng=random.Random(u))
+                          by_uid[u], rng=random.Random(u))
                for u in ring_uids]
     passives = [GkaSession(RingConfig(scope=scope, participants=ring,
                                       my_index=0, instance_id=d, mode=mode),
-                           by_uid[u], InstanceLedger(), passive=True)
+                           by_uid[u], passive=True)
                 for u in sorted(set(p_uids) - set(reps))]
     return scope, actives, passives, reps
 
@@ -175,8 +173,8 @@ def test_derived_round1_element_is_deterministic(make_members):
     mode = JoinMode(previous_seed=b"\x77" * 33, representatives=(1, 2))
     cfg = RingConfig(scope=scope, participants=ring[:2] + ring[2:],
                      my_index=0, instance_id=3, mode=mode)
-    a = GkaSession(cfg, members[0], InstanceLedger())
-    b = GkaSession(cfg, members[0], InstanceLedger())
+    a = GkaSession(cfg, members[0])
+    b = GkaSession(cfg, members[0])
     assert a._my_z == b._my_z
     env_a = a.start(0.0)[0]
     env_b = b.start(0.0)[0]
@@ -191,7 +189,7 @@ def test_passive_with_wrong_seed_fails(make_members):
                    my_index=0, instance_id=2,
                    mode=JoinMode(previous_seed=b"\x00" * 33,
                                  representatives=(1, 2, 9))),
-        passives[0].identity, InstanceLedger(), passive=True)
+        passives[0].identity, passive=True)
     run_to_completion(actives + [liar])
     assert liar.phase is GkaPhase.FAILED
     assert "previous seed" in liar.failure_reason
@@ -204,34 +202,21 @@ def test_passive_must_simulate_first_representative(make_members):
     with pytest.raises(ValueError):
         GkaSession(RingConfig(scope=scope, participants=ring, my_index=1,
                               instance_id=2, mode=mode),
-                   members[1], InstanceLedger(), passive=True)
+                   members[1], passive=True)
 
 
 # ------------------------------------------------------- replay and nonces
-
-
-def test_reused_instance_id_rejected(make_members):
-    scope, members = make_members([1, 2, 3])
-    sessions = keyagree_sessions(scope, members)
-    run_to_completion(sessions)
-    ledger = sessions[0].ledger
-    ring = [(m.uid, m.cert) for m in sorted(members, key=lambda m: m.uid)]
-    again = GkaSession(RingConfig(scope=scope, participants=ring, my_index=0,
-                                  instance_id=1), members[0], ledger)
-    with pytest.raises(StaleInstance):
-        again.start(0.0)
 
 
 def test_replayed_transcript_cannot_touch_new_instance(make_members):
     scope, members = make_members([1, 2, 3])
     old_sessions = keyagree_sessions(scope, members, seed=1)
     old_transcript = run_to_completion(old_sessions)
-    ledgers = [s.ledger for s in old_sessions]
     ordered = sorted(members, key=lambda m: m.uid)
     ring = [(m.uid, m.cert) for m in ordered]
     new_sessions = [GkaSession(RingConfig(scope=scope, participants=ring,
                                           my_index=i, instance_id=2),
-                               m, ledgers[i], rng=random.Random(50 + i))
+                               m, rng=random.Random(50 + i))
                     for i, m in enumerate(ordered)]
     for s in new_sessions:
         s.start(0.0)
@@ -253,20 +238,6 @@ def test_completed_instance_ignores_all_traffic(make_members):
     for env in transcript:
         assert sessions[0].handle(env, 1.0) == []
     assert sessions[0].seed == seed_before
-
-
-def test_ledger_blocks_completed_sender_ids(make_members):
-    scope, members = make_members([1, 2, 3])
-    sessions = keyagree_sessions(scope, members)
-    # mark instance 1 as already completed for uid 2 on node 0's ledger
-    sessions[0].ledger.record_completed(2, 1)
-    queue = []
-    for s in sessions:
-        queue.extend(s.start(0.0))
-    dropped_before = sessions[0].stats.get("stale_instance", 0)
-    for env in queue:
-        sessions[0].handle(env, 0.0)
-    assert sessions[0].stats.get("stale_instance", 0) > dropped_before
 
 
 # ------------------------------------------------------ message validation
@@ -297,7 +268,7 @@ def test_tampered_element_dropped(make_members, roots):
     # while gathering, a forged round-1 must not freeze the view
     assert a.handle(forged, t_dead) == []
     assert a.stats["bad_signature"] == 1
-    assert a._session is None and a.ledger.floor == 0
+    assert a._session is None and a.floor == 0
     # during the agreement, it must not store an element
     a.on_timer(t_dead)
     assert a._session.config.instance_id == 1
@@ -318,7 +289,7 @@ def test_unknown_sender_dropped(make_members, member_factory):
     rogue_ring = sorted(ring + [(40, outsider_cert)], key=lambda p: p[0])
     rogue = GkaSession(RingConfig(scope=scope, participants=rogue_ring,
                                   my_index=2, instance_id=1),
-                       outsider, InstanceLedger())
+                       outsider)
     env = rogue.start(0.0)[0]
     assert sessions[0].handle(env, 0.0) == []
     assert sessions[0].stats["unknown_sender"] == 1
@@ -332,7 +303,7 @@ def test_wrong_instance_dropped(make_members):
     ring = [(m.uid, m.cert) for m in ordered]
     future = GkaSession(RingConfig(scope=scope, participants=ring,
                                    my_index=1, instance_id=7),
-                        ordered[1], InstanceLedger())
+                        ordered[1])
     env = future.start(0.0)[0]
     assert sessions[0].handle(env, 0.0) == []
     assert sessions[0].stats["wrong_instance"] == 1
@@ -346,7 +317,7 @@ def test_equivocation_keeps_first_element(make_members):
     sessions[0].handle(honest, 0.0)
     # same uid signs a different element for the same instance
     twin = GkaSession(sessions[1].config, sessions[1].identity,
-                      InstanceLedger(), rng=random.Random(999))
+                      rng=random.Random(999))
     conflicting = twin.start(0.0)[0]
     sessions[0].handle(conflicting, 0.0)
     assert sessions[0].stats["conflicting_element"] == 1

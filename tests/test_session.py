@@ -1,5 +1,5 @@
 """Data-path tests: replay window against a remember-everything oracle,
-key store epochs, and the publish/receive pipeline end to end."""
+key store slots, and the publish/receive pipeline end to end."""
 
 from __future__ import annotations
 
@@ -24,8 +24,7 @@ SEED_CH = b"\x22" * 33
 
 
 def material(seed, channel, epoch=1):
-    ctx = key_context(GROUP, channel, epoch)
-    return kdf_expand(seed, ctx, epoch=epoch, scope=channel)
+    return kdf_expand(seed, key_context(GROUP, channel, epoch))
 
 
 def make_session(subscriptions=("chatter",), sender_id=1, epoch=1,
@@ -121,33 +120,44 @@ def test_window_never_double_accepts(start, offsets):
 # ----------------------------------------------------------------- keystore
 
 
+def live_keys(ks, channel, now):
+    return [slot.material for slot in ks.channel_slots(channel, now)]
+
+
 def test_keystore_newest_first_and_grace():
-    ks = KeyStore(grace=10.0)
+    assert session_module.GRACE == 10.0
+    ks = KeyStore()
     m1 = material(SEED_CH, "c", epoch=1)
     m2 = material(SEED_CH, "c", epoch=2)
     ks.install_channel("c", m1, now=0.0)
-    assert ks.channel_keys("c", 5.0) == [m1]
+    assert live_keys(ks, "c", 5.0) == [m1]
     ks.install_channel("c", m2, now=100.0)
-    assert ks.channel_keys("c", 101.0) == [m2, m1]
-    assert ks.channel_keys("c", 109.9) == [m2, m1]
-    assert ks.channel_keys("c", 110.1) == [m2]   # grace expired
+    assert live_keys(ks, "c", 101.0) == [m2, m1]
+    assert live_keys(ks, "c", 109.9) == [m2, m1]
+    assert live_keys(ks, "c", 110.1) == [m2]   # grace expired
 
 
 def test_keystore_keeps_two_epochs_max():
-    ks = KeyStore(grace=1000.0)
+    ks = KeyStore()
     mats = [material(SEED_CH, "c", epoch=e) for e in (1, 2, 3)]
     for m in mats:
         ks.install_channel("c", m, now=0.0)
-    assert ks.channel_keys("c", 0.1) == [mats[2], mats[1]]
+    assert live_keys(ks, "c", 0.1) == [mats[2], mats[1]]
 
 
-def test_keystore_same_epoch_reinstall_replaces():
-    ks = KeyStore()
-    m1 = material(SEED_CH, "c", epoch=1)
-    m1b = material(SEED_A, "c", epoch=1)
-    ks.install_channel("c", m1, now=0.0)
-    ks.install_channel("c", m1b, now=0.0)
-    assert ks.channel_keys("c", 0.1) == [m1b]
+def test_keystore_same_key_reinstall_keeps_slot_and_windows():
+    tx = make_session()
+    rx = make_session(sender_id=2)
+    (dg,) = tx.publish("chatter", b"once")
+    assert rx.receive(dg, now=1.0) == ("chatter", b"once")
+    (slot,) = rx.keys.channel_slots("chatter", 1.0)
+    # an identical reinstall is a no-op: the slot, its expiry and its
+    # windows stay, so the replay it already saw stays refused
+    rx.install_channel("chatter", material(SEED_CH, "chatter"), now=2.0)
+    assert rx.keys.channel_slots("chatter", 20.0) == [slot]
+    assert slot.expires is None and list(slot.windows) == [1]
+    assert rx.receive(dg, now=20.0) is None
+    assert rx.stats.drops == {"replayed": 1}
 
 
 # ------------------------------------------------------------- send counter
@@ -381,6 +391,23 @@ def test_epoch_fallback_and_grace():
     late = tx.publish("chatter", b"too late")
     assert rx.receive(late[0], now=111.0) is None
     assert rx.stats.delivered == 1
+
+
+def test_replay_under_previous_key_dropped_within_grace():
+    tx = make_session(epoch=1)
+    rx = make_session(sender_id=2, epoch=1)
+    first, second = (tx.publish("chatter", body)[0]
+                     for body in (b"seen", b"unseen"))
+    assert rx.receive(first, now=1.0) == ("chatter", b"seen")
+    # a group re-key re-derives the channel key in the same call; the
+    # previous key keeps its windows while it serves out its grace
+    rx.install_group(material(SEED_A, "", 2), 2, now=2.0,
+                     channels={"chatter": material(SEED_CH, "chatter", 2)})
+    assert rx.receive(first, now=3.0) is None
+    assert rx.stats.drops == {"replayed": 1}
+    assert rx.receive(second, now=3.0) == ("chatter", b"unseen")
+    assert rx.receive(second, now=4.0) is None
+    assert rx.stats.drops == {"replayed": 2}
 
 
 def test_same_seqno_allowed_again_in_new_epoch():

@@ -211,6 +211,31 @@ def test_conflicting_duplicate_rejected():
         buf.add(forged, now=0.0)
 
 
+def _flip_last_bit(f: FragmentPacket) -> FragmentPacket:
+    raw = bytearray(encode_fragment(f))
+    raw[-1] ^= 0x01
+    return decode_fragment(bytes(raw))
+
+
+@pytest.mark.parametrize("forge", [
+    _flip_last_bit,
+    lambda f: f._replace(fragments_total=f.fragments_total + 1),
+], ids=["flipped_section", "other_total"])
+def test_injected_copy_after_the_genuine_fragment_loses(forge):
+    # fragments are unauthenticated, so the first copy of each wins: a
+    # contradicting copy is refused without touching the held message
+    body = b"y" * 3000
+    packets = fragment(b"n\x00", body, 1, 1, mtu=1400)
+    buf = ReassemblyBuffer()
+    assert buf.add(packets[0], now=0.0) is None
+    held = buf.stored_bytes
+    with pytest.raises(InconsistentFragment):
+        buf.add(forge(packets[0]), now=0.0)
+    assert len(buf) == 1 and buf.stored_bytes == held
+    assert [buf.add(p, now=0.0) for p in packets[1:]] == [
+        None, (b"n\x00", body)]
+
+
 def test_conflicting_totals_rejected():
     buf = ReassemblyBuffer()
     buf.add(FragmentPacket(1, 1, 100, 0, 0, 2, b"a" * 60), now=0.0)
@@ -338,15 +363,16 @@ class ScanningReassembly:
             self.slots.append(slot)
         parts = slot[4]
         prior = parts.get(f.fragment_no)
+        # a contradiction of the slot is refused and the first copy kept
         if ((f.full_body_length, f.fragments_total) != (slot[2], slot[3])
-                or prior not in (None, (f.fragment_offset, f.section))
-                or (prior is None
-                    and sum(len(sec) for _, sec in parts.values())
-                    + len(f.section) > slot[2] + MAX_CHANNELNAME)):
-            self.slots.remove(slot)
+                or prior not in (None, (f.fragment_offset, f.section))):
             raise InconsistentFragment("rejected")
         if prior is not None:
             return None
+        if (sum(len(sec) for _, sec in parts.values()) + len(f.section)
+                > slot[2] + MAX_CHANNELNAME):
+            self.slots.remove(slot)
+            raise InconsistentFragment("rejected")
         while (self.stored() + wire.FRAGMENT_OVERHEAD + len(f.section)
                > wire.REASSEMBLY_MAX_BYTES):
             self.slots.remove(next(s for s in self.slots if s is not slot))
