@@ -356,7 +356,6 @@ def _plain_chunk_limit(mtu: int) -> int:
 
 LATENCY_FIELDS = ["transport", "mode", "size_bytes", "count", "ok", "lost",
                   "datagrams_per_msg", "p50_ms", "p90_ms", "p99_ms",
-                  "virtual_p50_ms", "virtual_p90_ms", "virtual_p99_ms",
                   "rtt_ratio_vs_plain_p50"]
 
 
@@ -367,98 +366,12 @@ def _finish_rows(plain: dict, secure: dict) -> list[dict]:
     return [plain, secure]
 
 
-def bench_latency_sim(sizes, count, seed=1, mu=0.0, sigma=0.0,
-                      mtu=1400) -> list[dict]:
-    """Echo round trips between two simulated nodes, secure and plaintext.
-
-    Wall-clock columns measure processing cost (the virtual network adds no
-    real time); virtual columns show the modelled transit delay.
-    """
-    with tempfile.TemporaryDirectory() as tmp:
-        ca = CertificateAuthority.create(Path(tmp))
-        roots = [ca.cert]
-        group = "239.255.99.250:7999"
-        net = SimNet(seed=seed, loss=0.0, delay_mu=mu, delay_sigma=sigma)
-        runner = SimRunner(net)
-        src = PongRecorder(
-            _bench_identity(ca, group, 1), roots, group, (PING, PONG),
-            random.Random(seed * 31 + 1), mtu=mtu)
-        refl = PingReflector(
-            _bench_identity(ca, group, 2), roots, group, (PING, PONG),
-            random.Random(seed * 31 + 2), mtu=mtu)
-        ep_src = runner.add(src)
-        runner.add(refl)
-        runner.start_all()
-        if not runner.run_while(lambda: not (src.ready and refl.ready),
-                                30.0):
-            raise LcmsecError("simulated discovery did not converge")
-        rows = []
-        with _gc_paused():
-            _measure_sim(net, runner, src, ep_src, max(8, sizes[0]), 3, mtu)
-            for size in sizes:
-                rows.extend(_measure_sim(net, runner, src, ep_src, size,
-                                         count, mtu))
-        return rows
-
-
-def _bench_identity(ca, group, uid):
-    key = ec.generate_private_key(ec.SECP256R1())
-    cert = ca.issue([DomainUrn(group=group, channel="*", id=uid)],
-                    key.public_key(), common_name=f"bench-{uid}")
-    return LocalIdentity(uid=uid, cert=PeerCertificate(cert), key=key)
-
-
-def _measure_sim(net, runner, src, ep_src, size, count, mtu) -> list[dict]:
-    if size < 8:
-        raise ValueError("bench payloads need at least 8 tag bytes")
-    chunk = _plain_chunk_limit(mtu)
-    parts = max(1, math.ceil(size / chunk))
-    wall_p, virt_p, lost_p = [], [], 0
-    for i in range(count):
-        w0, v0 = time.perf_counter(), net.now
-        for part in range(parts):
-            data = bytes(min(chunk, size - part * chunk))
-            ep_src.send(wire.encode_plain_lcm(PING, i * 1000 + part, data))
-        got = runner.run_while(
-            lambda: len(src.plain_parts.get(i, {})) < parts, net.now + 10.0)
-        if got:
-            wall_p.append((time.perf_counter() - w0) * 1000)
-            virt_p.append((max(src.plain_parts[i].values()) - v0) * 1000)
-        else:
-            lost_p += 1
-    plain_row = _latency_row("sim", "plain", size, count, lost_p, parts,
-                             wall_p, virt_p)
-
-    wall_s, virt_s, lost_s, datagrams = [], [], 0, 0
-    for i in range(count):
-        payload = struct.pack(">Q", i) + bytes(size - 8)
-        w0, v0 = time.perf_counter(), net.now
-        outs = src.publish(PING, payload, net.now)
-        datagrams = len(outs)
-        for dg in outs:
-            ep_src.send(dg)
-        if runner.run_while(lambda: i not in src.secure_pongs,
-                            net.now + 10.0):
-            wall_s.append((time.perf_counter() - w0) * 1000)
-            virt_s.append((src.secure_pongs[i] - v0) * 1000)
-        else:
-            lost_s += 1
-    secure_row = _latency_row("sim", "secure", size, count, lost_s,
-                              datagrams, wall_s, virt_s)
-    src.secure_pongs.clear()
-    src.plain_parts.clear()
-    return _finish_rows(plain_row, secure_row)
-
-
-def _latency_row(transport, mode, size, count, lost, datagrams, wall,
-                 virtual=None) -> dict:
+def _latency_row(transport, mode, size, count, lost, datagrams, wall) -> dict:
     p50, p90, p99 = _quantiles(wall)
-    v50, v90, v99 = _quantiles(virtual or [])
     return {"transport": transport, "mode": mode, "size_bytes": size,
             "count": count, "ok": count - lost, "lost": lost,
             "datagrams_per_msg": datagrams, "p50_ms": p50, "p90_ms": p90,
-            "p99_ms": p99, "virtual_p50_ms": v50, "virtual_p90_ms": v90,
-            "virtual_p99_ms": v99, "rtt_ratio_vs_plain_p50": ""}
+            "p99_ms": p99, "rtt_ratio_vs_plain_p50": ""}
 
 
 # The echo source's timing loop is the measuring stick of acceptance
@@ -597,21 +510,9 @@ def run_latency_reflector(cfg: SessionConfig, should_stop=None) -> int:
 def cmd_bench_latency(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if args.role == "reflector":
-        if args.sim:
-            log.error("the simulated bench embeds its own reflector")
-            return 2
         return run_latency_reflector(load_config(args.config))
-    if args.sim:
-        rows = bench_latency_sim(sizes, args.count, seed=args.seed,
-                                 mu=args.mu_ms / 1000,
-                                 sigma=args.sigma_ms / 1000)
-    else:
-        if not args.config:
-            log.error("--config or --sim is required")
-            return 2
-        rows = bench_latency_udp_source(load_config(args.config), sizes,
-                                        args.count,
-                                        echo_timeout=args.timeout)
+    rows = bench_latency_udp_source(load_config(args.config), sizes,
+                                    args.count, echo_timeout=args.timeout)
     _emit_csv(rows, LATENCY_FIELDS, args.csv)
     return 0 if all(r["ok"] > 0 for r in rows) else 1
 
@@ -622,6 +523,13 @@ def cmd_bench_latency(args) -> int:
 DISCOVERY_FIELDS = ["nodes", "seed", "mu_ms", "sigma_ms", "loss_pct",
                     "joins", "join_responses", "gka_rounds", "restarts",
                     "converged", "keys_equal", "virtual_s"]
+
+
+def _bench_identity(ca, group, uid):
+    key = ec.generate_private_key(ec.SECP256R1())
+    cert = ca.issue([DomainUrn(group=group, channel="*", id=uid)],
+                    key.public_key(), common_name=f"bench-{uid}")
+    return LocalIdentity(uid=uid, cert=PeerCertificate(cert), key=key)
 
 
 def bench_discovery_run(n, seed, mu=0.025, sigma=0.005, loss=0.10,
@@ -728,18 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
     bl = sub.add_parser("bench-latency", help="echo round-trip bench")
     bl.add_argument("--role", choices=("source", "reflector"),
                     default="source")
-    bl.add_argument("--config")
-    bl.add_argument("--sim", action="store_true",
-                    help="run both ends on the simulator")
-    bl.add_argument("--seed", type=int, default=1)
+    bl.add_argument("--config", required=True)
     bl.add_argument("--sizes", default="100,1000,10000,100000",
                     help="comma-separated payload sizes in bytes")
     bl.add_argument("--count", type=int, default=100,
                     help="messages per size")
-    bl.add_argument("--mu-ms", type=float, default=0.0,
-                    help="simulated delay mean")
-    bl.add_argument("--sigma-ms", type=float, default=0.0,
-                    help="simulated delay spread")
     bl.add_argument("--timeout", type=float, default=1.0,
                     help="per-echo wait before counting a loss")
     bl.add_argument("--csv", default="-", help="CSV destination (- stdout)")

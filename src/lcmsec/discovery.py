@@ -218,15 +218,10 @@ class DiscoveryDriver:
         self.state = DiscoveryState(
             participants={}, joining={self.identity.uid: self.identity.cert},
             t_ms=t_ms)
-        self._my_join_t = t_ms
-        self.phase = Phase.GATHERING
-        self._join_env = self._build_join(t_ms)
-        self._join_resend_at = now + JOIN_REBROADCAST
-        self._arm_gossip(now)
-        if self._pending and self._response_at is None:
-            self._response_at = now + self.rng.uniform(RESPONSE_DELAY_MIN,
-                                                       RESPONSE_DELAY_MAX)
-        return [self._join_env]
+        out = self._announce(t_ms, now)
+        self._gather(now)
+        self._arm_response(now)
+        return out
 
     def handle(self, env: ManagementEnvelope, now: float
                ) -> list[ManagementEnvelope]:
@@ -271,26 +266,24 @@ class DiscoveryDriver:
         if self.phase is Phase.GATHERING and self._now_ms(now) >= \
                 self.state.t_ms:
             out.extend(self._freeze(now, self.floor + 1))
-        if self._session is not None and self.phase is Phase.AGREEING:
+        if self.phase is Phase.AGREEING:
             out.extend(self._session.on_timer(now))
             out.extend(self._settle(now))
         return out
 
     def next_wakeup(self) -> float | None:
+        # a running minimum: the node asks every scope on each poll, and
+        # min(..., default=None) costs several times as much in CPython
         best = self._response_at
         if self.phase is Phase.GATHERING:
-            t = self._join_resend_at
-            if t is not None and (best is None or t < best):
-                best = t
-            t = self._gossip_at
-            if t is not None and (best is None or t < best):
-                best = t
-            if self.state.t_ms != T_SENTINEL:
-                t = self.state.t_ms / 1000.0
-                if best is None or t < best:
-                    best = t
-        elif self.phase is Phase.AGREEING and self._session is not None:
-            t = self._session.next_wakeup()
+            t_ms = self.state.t_ms
+            times = (self._join_resend_at, self._gossip_at,
+                     None if t_ms == T_SENTINEL else t_ms / 1000.0)
+        elif self.phase is Phase.AGREEING:
+            times = (self._session.next_wakeup(),)
+        else:
+            return best
+        for t in times:
             if t is not None and (best is None or t < best):
                 best = t
         return best
@@ -308,9 +301,8 @@ class DiscoveryDriver:
         """
         if self.phase is not Phase.COMMITTED:
             return
-        self.phase = Phase.GATHERING
         self.state = replace(self.state, t_ms=self._fresh_deadline(now))
-        self._arm_gossip(now)
+        self._gather(now)
 
     # ------------------------------------------------------------- incoming
 
@@ -342,17 +334,15 @@ class DiscoveryDriver:
             if not verify_envelope(env, cert):
                 return self._drop("bad_signature")
             self._join_memo[uid] = memo
-        if (self.phase is Phase.AGREEING and self._session is not None
-                and self._frozen is not None
+        if (self.phase is Phase.AGREEING
                 and uid in self._session.config.uids
                 and t_ms > self._frozen.t_ms):
             # an active ring member is asking to join again with a deadline
             # newer than the view we froze: it gave up on this instance, so
             # its round-2 will never come. Restart instead of stalling out
             # the round deadline; its re-announcements rebuild the view.
-            self._restart_after_failure(
-                "ring member abandoned the running agreement")
-            out = list(self._restart(now))
+            out = self._restart(
+                "ring member abandoned the running agreement", now)
             self._note_pending(uid, t_ms, cert, now)
             return out
         self._note_pending(uid, t_ms, cert, now)
@@ -365,27 +355,24 @@ class DiscoveryDriver:
             # keep the newest deadline: a joiner that timed out waiting
             # re-announces with a later t, and replays only carry older ones
             self._pending[uid] = (t_ms, cert)
-            if self._response_at is None:
-                self._response_at = now + self.rng.uniform(
-                    RESPONSE_DELAY_MIN, RESPONSE_DELAY_MAX)
+            self._arm_response(now)
 
     def _handle_join_response(self, env: ManagementEnvelope, now: float
                               ) -> list[ManagementEnvelope]:
+        try:
+            t_ms, p_ders, j_ders, floor = parse_join_response_payload(
+                env.payload)
+        except (Truncated, NonCanonical, ValueError):
+            return self._drop("malformed_response")
         if self.phase in (Phase.AGREEING, Phase.IDLE):
             # the view merge must wait, but an authentic floor is worth
             # recording now so the next freeze picks an unused instance id
-            try:
-                floor = parse_join_response_payload(env.payload)[3]
-            except (Truncated, NonCanonical, ValueError):
-                return self._drop("malformed_response")
             if floor > self.floor:
                 signer = self._known.get(env.signer_ref)
                 if signer is not None and verify_envelope(env, signer[1]):
                     self.floor = floor
             return self._drop("response_ignored")
         try:
-            t_ms, p_ders, j_ders, floor = parse_join_response_payload(
-                env.payload)
             p_certs = [PeerCertificate.from_der(d) for d in p_ders]
             j_certs = [PeerCertificate.from_der(d) for d in j_ders]
         except (Truncated, NonCanonical, MalformedUrn, ValueError):
@@ -440,8 +427,7 @@ class DiscoveryDriver:
                     self.state.t_ms != T_SENTINEL:
                 # a re-key is gathering, with or without joiners: freeze
                 # with it, or it runs without this member and fails
-                self.phase = Phase.GATHERING
-                self._arm_gossip(now)
+                self._gather(now)
         self._note_view(incoming, floor)
         return []
 
@@ -493,7 +479,7 @@ class DiscoveryDriver:
                 # a co-member already reached its deadline: freeze with it
                 out.extend(self._freeze(now, instance))
             self.floor = instance
-        if self._session is not None and self.phase is Phase.AGREEING:
+        if self.phase is Phase.AGREEING:
             session = self._session
             if (instance == session.config.instance_id
                     and uid not in session.config.uids):
@@ -501,9 +487,8 @@ class DiscoveryDriver:
                 # is missing from the ring we froze: our view diverged, and
                 # our round-2 would poison everyone's fold. Restarting now
                 # is strictly cheaper than stalling out the round deadline.
-                self._restart_after_failure(
-                    "frozen ring is missing an active co-member")
-                out.extend(self._restart(now))
+                out.extend(self._restart(
+                    "frozen ring is missing an active co-member", now))
                 return out
             out.extend(session.handle(env, now))
             out.extend(self._settle(now))
@@ -577,9 +562,15 @@ class DiscoveryDriver:
         return DiscoveryState(participants=merged.participants,
                               joining=joining, t_ms=t_ms)
 
-    def _build_join(self, t_ms: int) -> ManagementEnvelope:
+    def _announce(self, t_ms: int, now: float) -> list[ManagementEnvelope]:
+        """Sign this node's JOIN with deadline ``t_ms`` and re-send it every
+        :data:`JOIN_REBROADCAST` until a view from another node lists it."""
+        self._my_join_t = t_ms
         payload = encode_join_payload(t_ms, self.identity.cert.der)
-        return sign_envelope(MsgKind.JOIN, self.scope, self.identity, payload)
+        self._join_env = sign_envelope(MsgKind.JOIN, self.scope,
+                                       self.identity, payload)
+        self._join_resend_at = now + JOIN_REBROADCAST
+        return [self._join_env]
 
     def _flush_response(self, now: float) -> list[ManagementEnvelope]:
         # a join from a listed participant is news too: it means that node
@@ -598,8 +589,7 @@ class DiscoveryDriver:
         self.state = DiscoveryState(participants=self.state.participants,
                                     joining=joining, t_ms=t_ms)
         if self.phase is Phase.COMMITTED:
-            self.phase = Phase.GATHERING
-            self._arm_gossip(now)
+            self._gather(now)
         return [self._view_response()]
 
     def _view_response(self) -> ManagementEnvelope:
@@ -610,6 +600,17 @@ class DiscoveryDriver:
             self.floor)
         return sign_envelope(MsgKind.JOIN_RESPONSE, self.scope, self.identity,
                              payload)
+
+    def _gather(self, now: float) -> None:
+        """Gather towards the view's deadline, gossiping the view."""
+        self.phase = Phase.GATHERING
+        self._arm_gossip(now)
+
+    def _arm_response(self, now: float) -> None:
+        """Answer the pending JOINs after a random delay, once."""
+        if self._pending and self._response_at is None:
+            self._response_at = now + self.rng.uniform(RESPONSE_DELAY_MIN,
+                                                       RESPONSE_DELAY_MAX)
 
     def _arm_gossip(self, now: float) -> None:
         # jittered so a cohort entering a gathering together does not fire
@@ -626,14 +627,10 @@ class DiscoveryDriver:
             t_ms = self._fresh_deadline(now)
             self.state = replace(self.state, t_ms=t_ms)
             if self.identity.uid in self.state.joining:
-                self._my_join_t = t_ms
-                self._join_env = self._build_join(t_ms)
-                self._join_resend_at = now + JOIN_REBROADCAST
-                return [self._join_env]
+                return self._announce(t_ms, now)
             return []
         if len(members) > 0xFFFF:
-            self._restart_after_failure("sender ids exhausted")
-            return list(self._restart(now))
+            return self._restart("sender ids exhausted", now)
         self._frozen = self.state
         joining = self.state.joining
         # participants who are also (re-)joining take a joiner slot: they
@@ -669,8 +666,6 @@ class DiscoveryDriver:
 
     def _settle(self, now: float) -> list[ManagementEnvelope]:
         session = self._session
-        if session is None:
-            return []
         if session.phase is GkaPhase.DONE:
             frozen = self._frozen
             members = {**frozen.participants, **frozen.joining}
@@ -696,16 +691,15 @@ class DiscoveryDriver:
             # joins satisfied by this commit are done; the rest re-arm
             self._pending = {u: tc for u, tc in self._pending.items()
                              if u not in members}
-            if self._pending and self._response_at is None:
-                self._response_at = now + self.rng.uniform(
-                    RESPONSE_DELAY_MIN, RESPONSE_DELAY_MAX)
+            self._arm_response(now)
             return []
         if session.phase is GkaPhase.FAILED:
-            self._restart_after_failure(session.failure_reason)
-            return list(self._restart(now))
+            return self._restart(session.failure_reason, now)
         return []
 
-    def _restart_after_failure(self, reason: str):
+    def _restart(self, reason: str, now: float) -> list[ManagementEnvelope]:
+        """The agreement failed: count it, forget the view and announce
+        this node again."""
         log.debug("%s/%s: agreement failed (%s), rediscovering",
                   self.scope.group, self.scope.channel or "<group>", reason)
         self.stats["agreements_failed"] = \
@@ -717,6 +711,4 @@ class DiscoveryDriver:
         self._response_at = None
         self.state = DiscoveryState()
         self.phase = Phase.IDLE
-
-    def _restart(self, now: float) -> list[ManagementEnvelope]:
         return self.initiate_join(now)

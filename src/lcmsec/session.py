@@ -9,7 +9,6 @@ keep the streams apart.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 
@@ -114,58 +113,33 @@ class KeySlot:
 
 
 class KeyStore:
-    """Newest-first key slots, the replaced key kept for :data:`GRACE`.
+    """Key slots by scope, newest first; the group's scope is ``""``.
 
-    Live lists are cached until the earliest grace expiry among their
-    entries, since the store is consulted for every single datagram.
-    Installing the key that is already newest changes nothing, so its
-    windows stay and an identical reinstall cannot reopen replays.
+    A replaced key is kept for :data:`GRACE`, and a scope never holds more
+    than two slots, so an expired second slot is dropped when its scope is
+    looked up. That assumes ``now`` does not step back, as
+    :class:`~lcmsec.wire.ReassemblyBuffer` does. Installing the key that is
+    already newest changes nothing, so its windows stay and an identical
+    reinstall cannot reopen replays.
     """
 
     def __init__(self):
-        self._group: list[KeySlot] = []
-        self._channels: dict[str, list[KeySlot]] = {}
-        self._cache: dict[str | None, tuple[list[KeySlot], float]] = {}
+        self._slots: dict[str, list[KeySlot]] = {}
 
-    def _install(self, slots: list[KeySlot], material: KeyMaterial,
-                 now: float) -> list[KeySlot]:
+    def install(self, scope: str, material: KeyMaterial, now: float):
+        slots = self._slots.get(scope, [])
         if slots and slots[0].material == material:
-            return slots
+            return
         kept = slots[:1]
         for slot in kept:
             slot.expires = now + GRACE
-        return [KeySlot(material)] + kept
+        self._slots[scope] = [KeySlot(material)] + kept
 
-    def _live(self, label: str | None, slots: list[KeySlot],
-              now: float) -> list[KeySlot]:
-        live = [s for s in slots if s.expires is None or now < s.expires]
-        until = min((s.expires for s in slots
-                     if s.expires is not None and now < s.expires),
-                    default=math.inf)
-        self._cache[label] = (live, until)
-        return live
-
-    def install_group(self, material: KeyMaterial, now: float):
-        self._group = self._install(self._group, material, now)
-        self._cache.pop(None, None)
-
-    def install_channel(self, channel: str, material: KeyMaterial,
-                        now: float):
-        slots = self._channels.get(channel, [])
-        self._channels[channel] = self._install(slots, material, now)
-        self._cache.pop(channel, None)
-
-    def group_slots(self, now: float) -> list[KeySlot]:
-        hit = self._cache.get(None)
-        if hit is not None and now < hit[1]:
-            return hit[0]
-        return self._live(None, self._group, now)
-
-    def channel_slots(self, channel: str, now: float) -> list[KeySlot]:
-        hit = self._cache.get(channel)
-        if hit is not None and now < hit[1]:
-            return hit[0]
-        return self._live(channel, self._channels.get(channel, []), now)
+    def slots(self, scope: str, now: float) -> list[KeySlot]:
+        slots = self._slots.get(scope, [])
+        if len(slots) > 1 and now >= slots[1].expires:
+            del slots[1:]
+        return slots
 
 
 @dataclass
@@ -219,7 +193,7 @@ class Session:
         the new group epoch. It lands in this same call, so no message is
         sealed under an old channel key once the counter restarts.
         """
-        self.keys.install_group(material, now)
+        self.keys.install("", material, now)
         for channel, channel_material in (channels or {}).items():
             self.install_channel(channel, channel_material, now)
         self.sender_id = sender_id
@@ -228,7 +202,7 @@ class Session:
 
     def install_channel(self, channel: str, material: KeyMaterial,
                         now: float):
-        self.keys.install_channel(channel, material, now)
+        self.keys.install(channel, material, now)
         self._sending.pop(channel, None)
 
     # --------------------------------------------------------------- publish
@@ -260,10 +234,10 @@ class Session:
             raise BadName(repr(channel))
         name_nul = name + b"\x00"
         self._check_publishable(channel)
-        group_slots = self.keys.group_slots(now)
+        group_slots = self.keys.slots("", now)
         if not group_slots or self.sender_id is None:
             raise NoKey("group epoch not established")
-        channel_slots = self.keys.channel_slots(channel, now)
+        channel_slots = self.keys.slots(channel, now)
         if not channel_slots:
             raise NoKey(f"no key material for channel {channel!r}")
         # the newest key of a scope never expires, so this holds until an
@@ -359,7 +333,7 @@ class Session:
         packets, whose name boundary only a group key holder can find; their
         tail is ``sealed_tail`` from ``start`` on, so it is not copied out
         of the datagram first."""
-        group_slots = self.keys.group_slots(now)
+        group_slots = self.keys.slots("", now)
         if not group_slots:
             self.stats.drop("no_group_key")
             return None
@@ -398,7 +372,7 @@ class Session:
                 reason = "unsubscribed"
                 continue
             self._channel_of[name_nul] = channel
-            channel_slots = self.keys.channel_slots(channel, now)
+            channel_slots = self.keys.slots(channel, now)
             if not channel_slots:
                 reason = "no_channel_key"
                 continue

@@ -16,7 +16,8 @@ import pytest
 
 import lcmsec
 from lcmsec import SessionConfig, parse_config
-from lcmsec.cli import main
+from lcmsec.cli import (LATENCY_FIELDS, _finish_rows, _latency_row,
+                        main)
 from lcmsec.identity import PeerCertificate
 
 
@@ -153,27 +154,32 @@ def test_bench_discovery_emits_csv(capsys):
     assert float(row["virtual_s"]) < 30
 
 
-def test_bench_latency_sim_emits_csv(capsys):
-    code, out = run(capsys, "bench-latency", "--sim",
-                    "--sizes", "100,3000", "--count", "3")
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert [r["mode"] for r in rows] == ["plain", "secure"] * 2
-    for row in rows:
-        assert row["ok"] == "3" and row["lost"] == "0"
-    # crossing the mtu splits the secure message into several datagrams
-    assert int(rows[1]["datagrams_per_msg"]) == 1
-    assert int(rows[3]["datagrams_per_msg"]) > 1
-    assert rows[1]["rtt_ratio_vs_plain_p50"] != ""
-    assert rows[0]["rtt_ratio_vs_plain_p50"] == ""
+def test_latency_rows_pair_plain_and_secure():
+    plain = _latency_row("udp", "plain", 100, 3, 0, 1, [0.1, 0.2, 0.3])
+    secure = _latency_row("udp", "secure", 100, 3, 1, 2, [0.3, 0.4])
+    rows = _finish_rows(plain, secure)
+    assert [r["mode"] for r in rows] == ["plain", "secure"]
+    assert all(list(r) == LATENCY_FIELDS for r in rows)
+    assert (secure["ok"], secure["lost"], secure["datagrams_per_msg"]) == \
+        (2, 1, 2)
+    # the ratio column is set on the secure row only
+    assert secure["rtt_ratio_vs_plain_p50"] == 1.5
+    assert plain["rtt_ratio_vs_plain_p50"] == ""
+    # with every plain echo lost there is nothing to divide by
+    _, secure = _finish_rows(
+        _latency_row("udp", "plain", 100, 3, 3, 1, []),
+        _latency_row("udp", "secure", 100, 3, 0, 1, [0.3]))
+    assert secure["rtt_ratio_vs_plain_p50"] == ""
 
 
-def test_bench_latency_source_needs_config_or_sim(capsys):
-    assert run(capsys, "bench-latency")[0] == 2
-
-
-def test_bench_latency_no_simulated_reflector(capsys):
-    assert run(capsys, "bench-latency", "--role", "reflector", "--sim")[0] == 2
+@pytest.mark.parametrize("role", ["source", "reflector"])
+def test_bench_latency_needs_config(capsys, role):
+    try:
+        code = main(["bench-latency", "--role", role])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_demo_pub_line_reaches_sub_over_udp(tmp_path, capsys):

@@ -787,8 +787,7 @@ def test_joiner_stops_announcing_once_a_view_lists_it(make_drivers):
         sent += a.on_timer(now)
     assert MsgKind.JOIN not in kinds(sent)
     # a restart announces again, and keeps announcing until heard
-    a._restart_after_failure("test")
-    assert kinds(a._restart(now)) == [MsgKind.JOIN]
+    assert kinds(a._restart("test", now)) == [MsgKind.JOIN]
     assert MsgKind.JOIN in kinds(a.on_timer(now + 0.2))
 
 

@@ -141,7 +141,7 @@ def test_counter_exhaustion_forces_rekey_and_resumes(make_cluster):
     assert settle(runner, nodes)
 
     seed = nodes[0].channel_seed("chatter")
-    key = nodes[0].session.keys.channel_slots("chatter", net.now)[0].material
+    key = nodes[0].session.keys.slots("chatter", net.now)[0].material
     nodes[0].session.counter.force(0xFFFFFFFF)
     with pytest.raises(CounterExhausted):
         nodes[0].publish("chatter", b"doomed", net.now)
@@ -155,7 +155,7 @@ def test_counter_exhaustion_forces_rekey_and_resumes(make_cluster):
     for node in nodes:
         assert node.channel_epoch("chatter") == 1
         assert node.channel_seed("chatter") == seed
-        newest = node.session.keys.channel_slots("chatter", net.now)[0]
+        newest = node.session.keys.slots("chatter", net.now)[0]
         assert newest.material != key
     runner.publish(0, "chatter", b"back on the air")
     runner.run_until(net.now + 1.0)
@@ -199,7 +199,7 @@ def test_channel_key_binds_the_group_seed_not_only_its_instance(
     for seed in (group.seed, bytes(len(group.seed))):
         node._group_result = dataclasses.replace(group, seed=seed)
         keys.append(node._channel_material("chatter", channel).key)
-    installed = node.session.keys.channel_slots("chatter", net.now)[0].material
+    installed = node.session.keys.slots("chatter", net.now)[0].material
     assert keys[0] == installed.key
     assert keys[1] != keys[0]
 

@@ -121,7 +121,7 @@ def test_window_never_double_accepts(start, offsets):
 
 
 def live_keys(ks, channel, now):
-    return [slot.material for slot in ks.channel_slots(channel, now)]
+    return [slot.material for slot in ks.slots(channel, now)]
 
 
 def test_keystore_newest_first_and_grace():
@@ -129,9 +129,9 @@ def test_keystore_newest_first_and_grace():
     ks = KeyStore()
     m1 = material(SEED_CH, "c", epoch=1)
     m2 = material(SEED_CH, "c", epoch=2)
-    ks.install_channel("c", m1, now=0.0)
+    ks.install("c", m1, now=0.0)
     assert live_keys(ks, "c", 5.0) == [m1]
-    ks.install_channel("c", m2, now=100.0)
+    ks.install("c", m2, now=100.0)
     assert live_keys(ks, "c", 101.0) == [m2, m1]
     assert live_keys(ks, "c", 109.9) == [m2, m1]
     assert live_keys(ks, "c", 110.1) == [m2]   # grace expired
@@ -141,7 +141,7 @@ def test_keystore_keeps_two_epochs_max():
     ks = KeyStore()
     mats = [material(SEED_CH, "c", epoch=e) for e in (1, 2, 3)]
     for m in mats:
-        ks.install_channel("c", m, now=0.0)
+        ks.install("c", m, now=0.0)
     assert live_keys(ks, "c", 0.1) == [mats[2], mats[1]]
 
 
@@ -150,11 +150,11 @@ def test_keystore_same_key_reinstall_keeps_slot_and_windows():
     rx = make_session(sender_id=2)
     (dg,) = tx.publish("chatter", b"once")
     assert rx.receive(dg, now=1.0) == ("chatter", b"once")
-    (slot,) = rx.keys.channel_slots("chatter", 1.0)
+    (slot,) = rx.keys.slots("chatter", 1.0)
     # an identical reinstall is a no-op: the slot, its expiry and its
     # windows stay, so the replay it already saw stays refused
     rx.install_channel("chatter", material(SEED_CH, "chatter"), now=2.0)
-    assert rx.keys.channel_slots("chatter", 20.0) == [slot]
+    assert rx.keys.slots("chatter", 20.0) == [slot]
     assert slot.expires is None and list(slot.windows) == [1]
     assert rx.receive(dg, now=20.0) is None
     assert rx.stats.drops == {"replayed": 1}
