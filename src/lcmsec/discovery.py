@@ -120,39 +120,30 @@ class CommitResult:
     sender_ids: dict[int, int]
 
 
-def verify_envelope(env: ManagementEnvelope, cert: PeerCertificate) -> bool:
-    region = signed_region(env.kind, env.group, env.channel, env.payload)
-    return crypto.verify(region, env.signature, cert.public_key())
-
-
 class ChainVerdicts:
     """Certificate chain checks shared by one node's drivers.
 
     Chain validity does not depend on the scope, only the grant does, so one
     check per certificate serves the group and every channel; the node hands
-    this to each of its drivers. A passing verdict is kept by fingerprint
-    until the earliest ``not_valid_after`` of the certificate and the roots.
-    A failing one is not kept, since anyone can mint a bad chain.
+    this to each of its drivers, which ask it on every use. A passing verdict
+    is kept by fingerprint and lapses at the earliest ``not_valid_after`` of
+    the certificate and the roots. A failing one is not kept, since anyone
+    can mint a bad chain.
     """
 
     def __init__(self, roots):
         self.roots = roots
         self._until: dict[bytes, datetime.datetime] = {}
 
-    def trusted(self, cert: PeerCertificate,
-                now: datetime.datetime | None = None) -> bool:
-        if now is None:
-            now = datetime.datetime.now(datetime.timezone.utc)
+    def trusted(self, cert: PeerCertificate, now: datetime.datetime) -> bool:
         until = self._until.get(cert.fingerprint)
-        if until is not None and now <= until:
-            return True
-        if not verify_chain(cert, self.roots, now):
-            self._until.pop(cert.fingerprint, None)
-            return False
-        self._until[cert.fingerprint] = min(
-            [cert.cert.not_valid_after_utc]
-            + [root.not_valid_after_utc for root in self.roots])
-        return True
+        if until is None:
+            if not verify_chain(cert, self.roots, now):
+                return False
+            until = self._until[cert.fingerprint] = min(
+                [cert.cert.not_valid_after_utc]
+                + [root.not_valid_after_utc for root in self.roots])
+        return now <= until
 
 
 def assign_sender_ids(uids) -> dict[int, int]:
@@ -189,8 +180,8 @@ class DiscoveryDriver:
         #: fingerprints that chain to a root but lack the grant; only the
         #: CA can mint those, so the set is as bounded as its issuance
         self._refused: set[bytes] = set()
-        #: uid -> (signature, payload) of the last JOIN verified from it
-        self._join_memo: dict[int, tuple[bytes, bytes]] = {}
+        #: (signer, kind) -> (signature, payload) last verified from it
+        self._verified: dict[tuple[bytes, MsgKind], tuple[bytes, bytes]] = {}
         self._session: GkaSession | None = None
         self._frozen: DiscoveryState | None = None
         self._join_env: ManagementEnvelope | None = None
@@ -230,11 +221,12 @@ class DiscoveryDriver:
             return self._drop("own_echo")
         if (env.group, env.channel) != (self.scope.group, self.scope.channel):
             return self._drop("wrong_scope")
+        wall = datetime.datetime.now(datetime.timezone.utc)
         if env.kind is MsgKind.JOIN:
-            return self._handle_join(env, now)
+            return self._handle_join(env, now, wall)
         if env.kind is MsgKind.JOIN_RESPONSE:
-            return self._handle_join_response(env, now)
-        return self._handle_gka(env, now)
+            return self._handle_join_response(env, now, wall)
+        return self._handle_gka(env, now, wall)
 
     def on_timer(self, now: float) -> list[ManagementEnvelope]:
         out: list[ManagementEnvelope] = []
@@ -306,7 +298,7 @@ class DiscoveryDriver:
 
     # ------------------------------------------------------------- incoming
 
-    def _handle_join(self, env: ManagementEnvelope, now: float
+    def _handle_join(self, env: ManagementEnvelope, now: float, wall
                      ) -> list[ManagementEnvelope]:
         try:
             t_ms, der = parse_join_payload(env.payload)
@@ -315,7 +307,7 @@ class DiscoveryDriver:
             return self._drop("malformed_join")
         if env.signer_ref != cert.fingerprint:
             return self._drop("bad_signature")
-        uid = self._admit(cert)
+        uid = self._admit(cert, wall)
         if uid is None:
             return []
         if uid == self.identity.uid:
@@ -326,14 +318,8 @@ class DiscoveryDriver:
         horizon = now_ms + int(MAX_JOIN_HORIZON * 1000)
         if t_ms < now_ms or t_ms > horizon:
             return self._drop("stale_join")
-        # a byte-identical rebroadcast of the last JOIN verified from this
-        # uid is authentic: equal payloads carry the same certificate, so
-        # the signed region is the same too
-        memo = (env.signature, env.payload)
-        if self._join_memo.get(uid) != memo:
-            if not verify_envelope(env, cert):
-                return self._drop("bad_signature")
-            self._join_memo[uid] = memo
+        if not self._authentic(env, wall):
+            return []
         if (self.phase is Phase.AGREEING
                 and uid in self._session.config.uids
                 and t_ms > self._frozen.t_ms):
@@ -357,8 +343,8 @@ class DiscoveryDriver:
             self._pending[uid] = (t_ms, cert)
             self._arm_response(now)
 
-    def _handle_join_response(self, env: ManagementEnvelope, now: float
-                              ) -> list[ManagementEnvelope]:
+    def _handle_join_response(self, env: ManagementEnvelope, now: float,
+                              wall) -> list[ManagementEnvelope]:
         try:
             t_ms, p_ders, j_ders, floor = parse_join_response_payload(
                 env.payload)
@@ -367,10 +353,8 @@ class DiscoveryDriver:
         if self.phase in (Phase.AGREEING, Phase.IDLE):
             # the view merge must wait, but an authentic floor is worth
             # recording now so the next freeze picks an unused instance id
-            if floor > self.floor:
-                signer = self._known.get(env.signer_ref)
-                if signer is not None and verify_envelope(env, signer[1]):
-                    self.floor = floor
+            if floor > self.floor and self._authentic(env, wall):
+                self.floor = floor
             return self._drop("response_ignored")
         try:
             p_certs = [PeerCertificate.from_der(d) for d in p_ders]
@@ -385,7 +369,7 @@ class DiscoveryDriver:
         joining: dict[int, PeerCertificate] = {}
         for certs, target in ((p_certs, participants), (j_certs, joining)):
             for cert in certs:
-                uid = self._admit(cert)
+                uid = self._admit(cert, wall)
                 if uid is None or uid in target:
                     return self._drop("bad_member_cert")
                 if (target is joining and uid in participants
@@ -414,12 +398,12 @@ class DiscoveryDriver:
             if (self.phase is not Phase.GATHERING or floor != floor_now
                     or self._echoed() or compare(incoming, self.state) != 0):
                 return self._drop("no_news")
-            if not verify_envelope(env, signer[1]):
-                return self._drop("bad_signature")
+            if not self._authentic(env, wall):
+                return []
             self._note_view(incoming, floor)
             return self._drop("view_echo")
-        if not verify_envelope(env, signer[1]):
-            return self._drop("bad_signature")
+        if not self._authentic(env, wall):
+            return []
         self.floor = max(floor_now, floor)
         if merged is not self.state:
             self.state = self._keep_self(merged)
@@ -443,16 +427,18 @@ class DiscoveryDriver:
         return (echo is not None and echo[0] is self.state
                 and echo[1] == self.floor)
 
-    def _handle_gka(self, env: ManagementEnvelope, now: float
+    def _handle_gka(self, env: ManagementEnvelope, now: float, wall
                     ) -> list[ManagementEnvelope]:
         known = self._known.get(env.signer_ref)
         if known is None:
             return self._drop("unknown_gka_signer")
-        uid, cert = known
+        uid = known[0]
         try:
-            payload_uid, round_no, _, instance = parse_gka_payload(
+            payload_uid, round_no, element, instance = parse_gka_payload(
                 env.payload)
         except (Truncated, NonCanonical):
+            return self._drop("malformed_gka")
+        if round_no != (1 if env.kind is MsgKind.GKA_ROUND1 else 2):
             return self._drop("malformed_gka")
         if payload_uid != uid:
             return self._drop("bad_signature")
@@ -466,8 +452,8 @@ class DiscoveryDriver:
         if instance <= floor and not helps and (
                 session is None or instance != session.config.instance_id):
             return self._drop("no_news")
-        if not verify_envelope(env, cert):
-            return self._drop("bad_signature")
+        if not self._authentic(env, wall):
+            return []
         out: list[ManagementEnvelope] = []
         if helps:
             out.extend(done.sent)
@@ -490,7 +476,8 @@ class DiscoveryDriver:
                 out.extend(self._restart(
                     "frozen ring is missing an active co-member", now))
                 return out
-            out.extend(session.handle(env, now))
+            out.extend(session.handle(env.signer_ref, uid, round_no, element,
+                                      instance, now))
             out.extend(self._settle(now))
         return out
 
@@ -512,35 +499,52 @@ class DiscoveryDriver:
         if uid is not None:
             self._known[cert.fingerprint] = (uid, cert)
 
-    def _admit(self, cert: PeerCertificate) -> int | None:
-        """Chain + permission check; returns the certificate's uid.
+    def _admit(self, cert: PeerCertificate, wall) -> int | None:
+        """Chain + permission check on every use; returns the uid.
 
-        Admission to this scope is cached by certificate fingerprint: views
-        arrive many times per second. A certificate refused for lacking the
-        scope's grant is remembered too. The chain verdict itself comes from
-        the shared :class:`ChainVerdicts`, so a node checks each chain once
-        whatever the number of scopes.
+        Chain verdicts come from the shared :class:`ChainVerdicts` and lapse
+        at expiry; this node's own certificate is not chain-checked. Grants,
+        and refusals for lacking one, are cached by fingerprint.
         """
-        cached = self._known.get(cert.fingerprint)
-        if cached is not None:
-            return cached[0]
+        known = self._known.get(cert.fingerprint)
+        if known is not None and (known[1] is self.identity.cert
+                                  or self.chains.trusted(cert, wall)):
+            return known[0]
         if cert.fingerprint in self._refused:
             self._drop("unauthorized_cert")
             return None
-        if not self.chains.trusted(cert):
+        if not self.chains.trusted(cert, wall):
             self._drop("untrusted_cert")
             return None
         try:
-            perm = authorize(cert, self.scope)
-        except NotAuthorized:
-            self._refused.add(cert.fingerprint)
-            self._drop("unauthorized_cert")
-            return None
-        except Expired:
+            perm = authorize(cert, self.scope, wall)
+        except (NotAuthorized, Expired) as exc:
+            if isinstance(exc, NotAuthorized):
+                self._refused.add(cert.fingerprint)
             self._drop("unauthorized_cert")
             return None
         self._known[cert.fingerprint] = (perm.uid, cert)
         return perm.uid
+
+    def _authentic(self, env: ManagementEnvelope, wall) -> bool:
+        """The one signature gate, after every cheap check. A copy of the
+        last JOIN or round verified from the same signer passes unchecked:
+        this scope fixes the rest of the signed region. Views are signed
+        afresh on every send, so none is kept."""
+        known = self._known.get(env.signer_ref)
+        if known is None or self._admit(known[1], wall) is None:
+            return False
+        key = (env.signer_ref, env.kind)
+        memo = (env.signature, env.payload)
+        if self._verified.get(key) == memo:
+            return True
+        region = signed_region(env.kind, env.group, env.channel, env.payload)
+        if not crypto.verify(region, env.signature, known[1].public_key()):
+            self._drop("bad_signature")
+            return False
+        if env.kind is not MsgKind.JOIN_RESPONSE:
+            self._verified[key] = memo
+        return True
 
     def _keep_self(self, merged: DiscoveryState) -> DiscoveryState:
         """A wholesale view replacement must not orphan this node.

@@ -30,7 +30,7 @@ from .ecgroup import P256
 from .errors import InvalidElement
 from .identity import LCMDomain, PeerCertificate
 from .wire import (ManagementEnvelope, MsgKind, encode_gka_payload,
-                   parse_gka_payload, signed_region)
+                   signed_region)
 
 log = logging.getLogger(__name__)
 
@@ -147,11 +147,11 @@ class GkaSession:
     ``passive=True`` and a config whose ``my_index`` points at the first
     representative, whose view it reconstructs without transmitting.
 
-    Signatures, scope, kind and the freshness of the instance id are not
-    checked here: the discovery driver checks them before handing an
-    envelope in or starting a session. The session checks that the
-    signer is the ring member the payload names. ``sent`` holds the rounds
-    this member broadcast, in order.
+    The discovery driver parses each round and checks its signature, scope,
+    kind and instance freshness before handing the fields in; the session
+    checks that the round is of its own instance and that the signer is
+    the ring member the payload names. ``sent`` holds the rounds this
+    member broadcast, in order.
     """
 
     def __init__(self, config: RingConfig, identity: LocalIdentity, *,
@@ -207,21 +207,17 @@ class GkaSession:
         self._next_send = now + REBROADCAST_INTERVAL
         return [env]
 
-    def handle(self, env: ManagementEnvelope, now: float
+    def handle(self, signer_ref: bytes, uid: int, round_no: int,
+               element_raw: bytes, instance: int, now: float
                ) -> list[ManagementEnvelope]:
         if self.phase in (GkaPhase.DONE, GkaPhase.FAILED,
                           GkaPhase.INIT):
             return []
-        try:
-            uid, round_no, element_raw, instance = parse_gka_payload(
-                env.payload)
-        except Exception:
-            return self._drop("malformed")
         if instance != self.config.instance_id:
             return self._drop("wrong_instance")
         if uid not in self._index_of:
             return self._drop("unknown_sender")
-        signer_uid = self._uid_by_ref.get(env.signer_ref)
+        signer_uid = self._uid_by_ref.get(signer_ref)
         if signer_uid is None:
             return self._drop("unknown_sender")
         if signer_uid != uid:
@@ -230,9 +226,6 @@ class GkaSession:
             element = P256.deserialize(element_raw)
         except InvalidElement:
             return self._drop("bad_element")
-        expected_round = 1 if env.kind is MsgKind.GKA_ROUND1 else 2
-        if round_no != expected_round:
-            return self._drop("malformed")
 
         index = self._index_of[uid]
         store = self._z if round_no == 1 else self._y

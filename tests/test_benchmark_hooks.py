@@ -24,6 +24,8 @@ from lcmsec.identity import LCMDomain
 from lcmsec.session import ReplayWindow
 from lcmsec.transport import SimNet, SimRunner, UdpEndpoint
 
+from test_gka import hand_in
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -96,7 +98,7 @@ def test_agreement_multiplies_only_through_p256_exp(monkeypatch,
     while queue:
         env = queue.pop(0)
         for s in sessions:
-            queue.extend(s.handle(env, 0.0))
+            queue.extend(hand_in(s, env, 0.0))
     assert all(s.phase is GkaPhase.DONE for s in sessions)
     assert len({s.seed for s in sessions}) == 1
     assert calls == {s._x: 3 for s in sessions}

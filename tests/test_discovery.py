@@ -8,6 +8,7 @@ import datetime
 import functools
 import itertools
 import random
+import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -19,7 +20,7 @@ from lcmsec.discovery import (ChainVerdicts, CommitResult, DiscoveryDriver,
                               DiscoveryState, Phase, T_SENTINEL,
                               assign_sender_ids, compare, merge_max)
 from lcmsec.errors import NotAuthorized
-from lcmsec.gka import JoinMode, KeyAgreeMode, LocalIdentity
+from lcmsec.gka import JoinMode, KeyAgreeMode, LocalIdentity, sign_envelope
 from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
                              PeerCertificate)
 from lcmsec.wire import (ManagementEnvelope, MsgKind, decode_management,
@@ -676,6 +677,137 @@ def test_forged_response_with_news_costs_one_verification(make_drivers,
     assert set(a.state.joining) == {1, 2, 3}
 
 
+def agree(a, b):
+    """Bring a and b to agree on instance 1; returns (b's round 1, now),
+    with the round not yet handed to a."""
+    deliver([a, b], a.initiate_join(0.0) + b.initiate_join(0.0), 0.0)
+    for d in (a, b):
+        if d._response_at is not None:
+            deliver([a, b], d.on_timer(d._response_at), 0.15)
+    t_dead = max(a.state.t_ms, b.state.t_ms) / 1000 + 0.001
+    a.on_timer(t_dead)
+    out = b.on_timer(t_dead)
+    assert a.phase is b.phase is Phase.AGREEING
+    return next(e for e in out if e.kind is MsgKind.GKA_ROUND1), t_dead
+
+
+def agreeing_pair(make_drivers):
+    a, b = make_drivers([1, 2])
+    return (a, b, *agree(a, b))
+
+
+def snapshot(d):
+    """What an unverified or refused message must leave as it was."""
+    session = d._session
+    return (d.phase, d.state, d.floor, dict(d._pending), d.rng.getstate(),
+            session and (dict(session._z), dict(session._y),
+                         dict(session.stats), session.phase))
+
+
+def test_copy_of_held_round_costs_no_verification(make_drivers,
+                                                  verify_calls):
+    # the running agreement resends its rounds every 0.25 s, so most
+    # copies a member receives are of rounds it already holds
+    a, _, round1, t = agreeing_pair(make_drivers)
+    verify_calls.clear()
+    a.handle(round1, t)
+    assert len(verify_calls) == 1 and len(a._session._z) == 2
+    before = snapshot(a)
+    for k in range(3):
+        assert a.handle(round1, t + 0.25 * (k + 1)) == []
+    assert len(verify_calls) == 1
+    assert snapshot(a) == before
+
+
+def flip(data: bytes, at: int) -> bytes:
+    out = bytearray(data)
+    out[at] ^= 0x01
+    return bytes(out)
+
+
+@pytest.mark.parametrize("kind", ["join", "round"])
+@pytest.mark.parametrize("field", ["signature", "payload"])
+def test_altered_copy_is_verified_and_refused(make_drivers, verify_calls,
+                                              kind, field):
+    if kind == "join":
+        a, b = make_drivers([1, 2])
+        a.initiate_join(0.0)
+        (genuine,) = b.initiate_join(0.0)
+        t = 0.01
+        # the payload byte is the low byte of the JOIN's deadline
+        at = 7
+    else:
+        a, _, genuine, t = agreeing_pair(make_drivers)
+        # inside the round's element
+        at = len(genuine.payload) - 9
+    a.handle(genuine, t)
+    before = snapshot(a)
+    verify_calls.clear()
+    if field == "signature":
+        altered = dataclasses.replace(genuine,
+                                      signature=flip(genuine.signature, 10))
+    else:
+        altered = dataclasses.replace(genuine,
+                                      payload=flip(genuine.payload, at))
+    assert a.handle(altered, t) == []
+    assert len(verify_calls) == 1
+    assert a.stats["bad_signature"] == 1
+    assert snapshot(a) == before
+
+
+def test_expired_certificate_refused_on_every_use(make_drivers, ca, roots,
+                                                  verify_calls):
+    # b's certificate expires within 2 s; a admitted it before that. The
+    # verdict lapses at not_valid_after (RFC 5280 4.1.2.5) even for
+    # byte-identical copies of messages a verified while it was valid.
+    a, c = make_drivers([1, 3])
+    key = ec.generate_private_key(ec.SECP256R1())
+    cert = PeerCertificate(ca.issue(
+        [DomainUrn(group=a.scope.group, channel="*", id=2)],
+        key.public_key(), common_name="node-2", validity_days=2 / 86400))
+    b = DiscoveryDriver(a.scope, LocalIdentity(2, cert, key),
+                        ChainVerdicts(roots), random.Random(2))
+    # a and b agree, and a holds b's round 1
+    round1, t = agree(a, b)
+    a.handle(round1, t)
+    assert len(a._session._z) == 2
+    # c gathers and answers b's JOIN, so its pending set empties again
+    join = b._join_env
+    c.initiate_join(0.0)
+    deliver([c], [join], 0.0)
+    c.on_timer(c._response_at)
+    assert c._pending == {}
+
+    wait = cert.cert.not_valid_after_utc - datetime.datetime.now(
+        datetime.timezone.utc)
+    time.sleep(max(0.0, wait.total_seconds()) + 0.05)
+    verify_calls.clear()
+    before = snapshot(a)
+    assert c.handle(join, 0.1) == []
+    assert c._pending == {} and c.stats["untrusted_cert"] == 1
+    assert a.handle(round1, t + 0.01) == []
+    assert a.stats["untrusted_cert"] == 1
+    assert snapshot(a) == before
+    assert verify_calls == []
+
+
+def test_round_of_the_wrong_kind_dropped_before_verification(make_drivers,
+                                                             verify_calls):
+    # the parse step checks the round number against the kind: a round-1
+    # payload that its member signed as a round 2 never reaches the session
+    a, b, round1, t = agreeing_pair(make_drivers)
+    malformed = [sign_envelope(MsgKind.GKA_ROUND2, b.scope, b.identity,
+                               round1.payload),
+                 dataclasses.replace(round1, payload=round1.payload[:-1])]
+    before = snapshot(a)
+    verify_calls.clear()
+    for env in malformed:
+        assert a.handle(env, t) == []
+    assert a.stats["malformed_gka"] == 2
+    assert verify_calls == []
+    assert snapshot(a) == before
+
+
 # ------------------------------------ resends only while a peer lacks them
 
 
@@ -879,11 +1011,15 @@ def test_chain_verdict_never_outlives_the_certificate(member_factory, roots,
                              ("*",), 1)
     chains = ChainVerdicts(roots)
     expiry = cert.cert.not_valid_after_utc
-    assert chains.trusted(cert)
+    assert chains.trusted(cert, datetime.datetime.now(datetime.timezone.utc))
     assert chains.trusted(cert, expiry)
     assert len(chain_calls) == 1
-    # past its not_valid_after the verdict is checked again, and fails
+    # past its not_valid_after the kept verdict lapses: it fails on every
+    # use, with no second chain check
     assert not chains.trusted(cert, expiry + datetime.timedelta(seconds=1))
-    assert len(chain_calls) == 2
     assert not chains.trusted(cert, expiry + datetime.timedelta(seconds=2))
-    assert len(chain_calls) == 3
+    assert len(chain_calls) == 1
+    # a node that never checked it refuses it too
+    assert not ChainVerdicts(roots).trusted(
+        cert, expiry + datetime.timedelta(seconds=1))
+    assert len(chain_calls) == 2

@@ -16,7 +16,7 @@ from lcmsec.gka import (GkaPhase, GkaSession, JoinMode, KeyAgreeMode,
                         representative_uids)
 from lcmsec.identity import LCMDomain
 from lcmsec.wire import (MsgKind, decode_management, encode_gka_payload,
-                         encode_management)
+                         encode_management, parse_gka_payload)
 
 _group_counter = itertools.count()
 
@@ -43,6 +43,12 @@ def keyagree_sessions(scope, members, d=1, seed=0, **kw):
             for i, m in enumerate(ordered)]
 
 
+def hand_in(session, env, now):
+    """Hand one round envelope to a session as the driver does: parsed."""
+    return session.handle(env.signer_ref, *parse_gka_payload(env.payload),
+                          now)
+
+
 def run_to_completion(sessions, now=0.0):
     """Broadcasts every outgoing envelope to every session, transcript out."""
     queue = []
@@ -54,7 +60,7 @@ def run_to_completion(sessions, now=0.0):
         wire_copy = decode_management(encode_management(env))
         transcript.append(wire_copy)
         for s in sessions:
-            queue.extend(s.handle(wire_copy, now))
+            queue.extend(hand_in(s, wire_copy, now))
     return transcript
 
 
@@ -146,7 +152,6 @@ def test_transcript_contains_only_ring_uids(make_members):
     p_uids, j_uids = [1, 2, 4, 7, 9], [11, 12]
     scope, actives, passives, reps = join_setup(make_members, p_uids, j_uids)
     transcript = run_to_completion(actives + passives)
-    from lcmsec.wire import parse_gka_payload
     senders = {parse_gka_payload(env.payload)[0] for env in transcript}
     assert senders == set(reps) | set(j_uids)
     assert len(senders) == len(j_uids) + 3
@@ -223,7 +228,7 @@ def test_replayed_transcript_cannot_touch_new_instance(make_members):
     # full replay of the captured instance-1 traffic
     for env in old_transcript:
         for s in new_sessions:
-            assert s.handle(env, 0.0) == []
+            assert hand_in(s, env, 0.0) == []
     for s in new_sessions:
         assert s.phase is GkaPhase.R1_SENT
         assert len(s._z) == 1 and len(s._y) == 0
@@ -236,7 +241,7 @@ def test_completed_instance_ignores_all_traffic(make_members):
     transcript = run_to_completion(sessions)
     seed_before = sessions[0].seed
     for env in transcript:
-        assert sessions[0].handle(env, 1.0) == []
+        assert hand_in(sessions[0], env, 1.0) == []
     assert sessions[0].seed == seed_before
 
 
@@ -291,7 +296,7 @@ def test_unknown_sender_dropped(make_members, member_factory):
                                   my_index=2, instance_id=1),
                        outsider)
     env = rogue.start(0.0)[0]
-    assert sessions[0].handle(env, 0.0) == []
+    assert hand_in(sessions[0], env, 0.0) == []
     assert sessions[0].stats["unknown_sender"] == 1
 
 
@@ -305,7 +310,7 @@ def test_wrong_instance_dropped(make_members):
                                    my_index=1, instance_id=7),
                         ordered[1])
     env = future.start(0.0)[0]
-    assert sessions[0].handle(env, 0.0) == []
+    assert hand_in(sessions[0], env, 0.0) == []
     assert sessions[0].stats["wrong_instance"] == 1
 
 
@@ -314,12 +319,12 @@ def test_equivocation_keeps_first_element(make_members):
     sessions = keyagree_sessions(scope, members)
     sessions[0].start(0.0)
     honest = valid_round1(sessions, 1)
-    sessions[0].handle(honest, 0.0)
+    hand_in(sessions[0], honest, 0.0)
     # same uid signs a different element for the same instance
     twin = GkaSession(sessions[1].config, sessions[1].identity,
                       rng=random.Random(999))
     conflicting = twin.start(0.0)[0]
-    sessions[0].handle(conflicting, 0.0)
+    hand_in(sessions[0], conflicting, 0.0)
     assert sessions[0].stats["conflicting_element"] == 1
     idx = sessions[0]._index_of[sessions[1].identity.uid]
     assert sessions[0]._z[idx] == sessions[1]._my_z
@@ -336,7 +341,7 @@ def test_no_seed_without_all_signatures(make_members):
     while queue:
         env = queue.pop(0)
         for s in sessions[:2]:
-            queue.extend(s.handle(env, 0.0))
+            queue.extend(hand_in(s, env, 0.0))
     assert all(s.seed is None for s in sessions)
 
 
@@ -375,7 +380,7 @@ def test_inconsistent_ring_fails_consistency_check(make_members):
     while queue:
         env = queue.pop(0)
         for s in sessions:
-            queue.extend(s.handle(env, 0.0))
+            queue.extend(hand_in(s, env, 0.0))
     assert sessions[0].phase is GkaPhase.FAILED
     assert "ring does not close" in sessions[0].failure_reason
     assert sessions[2].phase is GkaPhase.FAILED

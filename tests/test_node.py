@@ -334,6 +334,47 @@ def test_join_into_twelve_sends_under_half_the_views(make_cluster,
     assert sent[wire.MsgKind.JOIN_RESPONSE] < 83 / 2
 
 
+def test_round_datagram_parsed_once(member_factory, roots, monkeypatch):
+    # the driver parses a round once and hands its fields to the session
+    group = fresh_group()
+    a, b = [LcmsecNode(LocalIdentity(uid, *member_factory(group, ("*",),
+                                                          uid=uid)),
+                       roots, group, (), random.Random(uid))
+            for uid in (1, 2)]
+    rounds = []
+
+    def send(src, datagrams, now):
+        for dg in datagrams:
+            if wire.decode_management(dg).kind is wire.MsgKind.GKA_ROUND1:
+                rounds.append((src, dg))      # held back until both agree
+            else:
+                dst = b if src is a else a
+                send(dst, dst.handle_datagram(dg, now), now)
+
+    send(a, a.start(0.0), 0.0)
+    send(b, b.start(0.0), 0.0)
+    while not all(n.drivers[""].phase is discovery.Phase.AGREEING
+                  for n in (a, b)):
+        now = min(n.next_wakeup() for n in (a, b))
+        assert now < 5.0
+        for n in (a, b):
+            send(n, n.on_timer(now), now)
+    calls = []
+    real = wire.parse_gka_payload
+
+    def counting(payload):
+        calls.append(payload)
+        return real(payload)
+
+    for module in (discovery, gka):
+        monkeypatch.setattr(module, "parse_gka_payload", counting,
+                            raising=False)
+    datagram = next(dg for src, dg in rounds if src is b)
+    a.handle_datagram(datagram, now)
+    assert len(calls) == 1
+    assert len(a.drivers[""]._session._z) == 2
+
+
 class CountingEndpoint(UdpEndpoint):
     """A multicast endpoint that counts the rounds it sends, by scope."""
 

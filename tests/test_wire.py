@@ -17,7 +17,8 @@ from lcmsec import wire
 from lcmsec.errors import (BadMagic, BadName, InconsistentFragment,
                            LcmsecError, NonCanonical, OversizeMessage,
                            Truncated)
-from lcmsec.wire import (FRAGMENT_HEADER_LEN, MAGIC_FRAGMENT, MAGIC_SECURE,
+from lcmsec.wire import (FRAGMENT_HEADER_LEN, MAGIC_FRAGMENT,
+                         MAGIC_MANAGEMENT, MAGIC_SECURE,
                          MAX_CHANNELNAME, MAX_MESSAGE_BODY,
                          REASSEMBLY_MAX_BYTES, REASSEMBLY_MAX_SLOTS,
                          SECURE_HEADER_LEN, FragmentPacket,
@@ -560,6 +561,68 @@ def test_management_rejects_unknown_kind():
         decode_management(encode_plain_lcm("c", 0, b"x" * 60))
     with pytest.raises(Truncated):
         decode_management(encode_management(make_env())[:20])
+
+
+def test_management_decode_calls_no_encoder(monkeypatch):
+    data = encode_management(make_env())
+
+    def refuse(*args):
+        raise AssertionError("decoding re-encoded the envelope")
+
+    for name in ("encode_management", "signed_region", "_blob"):
+        monkeypatch.setattr(wire, name, refuse)
+    assert decode_management(data) == make_env()
+
+
+_scope_names = st.text(st.characters(max_codepoint=0x7F), max_size=12)
+envelopes = st.builds(
+    ManagementEnvelope, kind=st.sampled_from(list(MsgKind)),
+    group=_scope_names, channel=_scope_names,
+    payload=st.binary(max_size=48), signer_ref=st.binary(min_size=32,
+                                                         max_size=32),
+    signature=st.binary(max_size=72))
+
+
+@st.composite
+def mutated_envelopes(draw):
+    """A valid encoding with one byte flipped, dropped or inserted, or one
+    of its four 32-bit length prefixes edited."""
+    env = draw(envelopes)
+    data = bytearray(encode_management(env))
+    how = draw(st.sampled_from(["flip", "drop", "insert", "length"]))
+    if how == "length":
+        g, c, p = len(env.group), len(env.channel), len(env.payload)
+        at = draw(st.sampled_from([5, 9 + g, 13 + g + c,
+                                   17 + g + c + p + 32]))
+        old = int.from_bytes(data[at:at + 4], "big")
+        new = draw(st.integers(0, 2**32 - 1)
+                   | st.integers(max(0, old - 3), old + 3))
+        data[at:at + 4] = new.to_bytes(4, "big")
+    elif how == "insert":
+        data.insert(draw(st.integers(0, len(data))), draw(st.integers(0, 255)))
+    else:
+        at = draw(st.integers(0, len(data) - 1))
+        if how == "drop":
+            del data[at]
+        else:
+            data[at] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+_magic = MAGIC_MANAGEMENT.to_bytes(4, "big")
+
+
+@given(st.binary(max_size=160) | st.binary(max_size=160).map(
+    lambda b: _magic + b) | mutated_envelopes())
+@settings(max_examples=600, deadline=None)
+def test_management_decode_is_canonical(data):
+    # the strict parse alone keeps decoding canonical: whatever it accepts
+    # re-encodes to exactly the input
+    try:
+        env = decode_management(data)
+    except LcmsecError:
+        return
+    assert encode_management(env) == data
 
 
 def test_signed_region_covers_kind_scope_payload():
