@@ -126,9 +126,9 @@ class ChainVerdicts:
     Chain validity does not depend on the scope, only the grant does, so one
     check per certificate serves the group and every channel; the node hands
     this to each of its drivers, which ask it on every use. A passing verdict
-    is kept by fingerprint and lapses at the earliest ``not_valid_after`` of
-    the certificate and the roots. A failing one is not kept, since anyone
-    can mint a bad chain.
+    is kept by fingerprint and lapses at the earlier ``not_valid_after`` of
+    the certificate and the root that signed it, not of every root. A
+    failing one is not kept, since anyone can mint a bad chain.
     """
 
     def __init__(self, roots):
@@ -138,11 +138,11 @@ class ChainVerdicts:
     def trusted(self, cert: PeerCertificate, now: datetime.datetime) -> bool:
         until = self._until.get(cert.fingerprint)
         if until is None:
-            if not verify_chain(cert, self.roots, now):
+            chain = verify_chain(cert, self.roots, now)
+            if not chain:
                 return False
             until = self._until[cert.fingerprint] = min(
-                [cert.cert.not_valid_after_utc]
-                + [root.not_valid_after_utc for root in self.roots])
+                cert.cert.not_valid_after_utc, chain.root.not_valid_after_utc)
         return now <= until
 
 
@@ -177,6 +177,9 @@ class DiscoveryDriver:
 
         self._pending: dict[int, tuple[int, PeerCertificate]] = {}   # M
         self._known: dict[bytes, tuple[int, PeerCertificate]] = {}
+        own = identity.cert.uid_for_group(scope.group)
+        if own is not None:
+            self._known[identity.cert.fingerprint] = (own, identity.cert)
         #: fingerprints that chain to a root but lack the grant; only the
         #: CA can mint those, so the set is as bounded as its issuance
         self._refused: set[bytes] = set()
@@ -195,7 +198,6 @@ class DiscoveryDriver:
         #: the last completed agreement, whose rounds help stragglers
         self._finished: GkaSession | None = None
         self._next_help = 0.0              # next time we may answer one
-        self._remember(identity.cert)
 
     # ----------------------------------------------------------- public API
 
@@ -308,18 +310,17 @@ class DiscoveryDriver:
         if env.signer_ref != cert.fingerprint:
             return self._drop("bad_signature")
         uid = self._admit(cert, wall)
-        if uid is None:
-            return []
-        if uid == self.identity.uid:
-            # own echoes were dropped as own_echo: this is a foreign
-            # certificate carrying this node's uid
+        if uid is None or uid == self.identity.uid:
+            # own echoes were dropped as own_echo: another certificate
+            # carrying this node's uid is foreign
             return []
         now_ms = self._now_ms(now)
         horizon = now_ms + int(MAX_JOIN_HORIZON * 1000)
         if t_ms < now_ms or t_ms > horizon:
             return self._drop("stale_join")
-        if not self._authentic(env, wall):
+        if not self._authentic(env, cert):
             return []
+        out: list[ManagementEnvelope] = []
         if (self.phase is Phase.AGREEING
                 and uid in self._session.config.uids
                 and t_ms > self._frozen.t_ms):
@@ -329,10 +330,8 @@ class DiscoveryDriver:
             # the round deadline; its re-announcements rebuild the view.
             out = self._restart(
                 "ring member abandoned the running agreement", now)
-            self._note_pending(uid, t_ms, cert, now)
-            return out
         self._note_pending(uid, t_ms, cert, now)
-        return []
+        return out
 
     def _note_pending(self, uid: int, t_ms: int, cert: PeerCertificate,
                       now: float) -> None:
@@ -353,7 +352,11 @@ class DiscoveryDriver:
         if self.phase in (Phase.AGREEING, Phase.IDLE):
             # the view merge must wait, but an authentic floor is worth
             # recording now so the next freeze picks an unused instance id
-            if floor > self.floor and self._authentic(env, wall):
+            signer = self._known.get(env.signer_ref)
+            if floor > self.floor and signer is not None:
+                if self._admit(signer[1], wall) is None or \
+                        not self._authentic(env, signer[1]):
+                    return []       # _admit or the gate counted why
                 self.floor = floor
             return self._drop("response_ignored")
         try:
@@ -385,8 +388,9 @@ class DiscoveryDriver:
         signer = self._known.get(env.signer_ref)
         if signer is None:
             return self._drop("unknown_responder")
-        if signer[0] not in participants and signer[0] not in joining:
-            # the responder must be part of the view it advertises
+        # the responder must be in the view it advertises, as itself
+        listed = participants.get(signer[0]) or joining.get(signer[0])
+        if listed is None or listed.fingerprint != env.signer_ref:
             return self._drop("foreign_responder")
         incoming = DiscoveryState(participants=participants, joining=joining,
                                   t_ms=t_ms)
@@ -398,11 +402,11 @@ class DiscoveryDriver:
             if (self.phase is not Phase.GATHERING or floor != floor_now
                     or self._echoed() or compare(incoming, self.state) != 0):
                 return self._drop("no_news")
-            if not self._authentic(env, wall):
+            if not self._authentic(env, listed):
                 return []
             self._note_view(incoming, floor)
             return self._drop("view_echo")
-        if not self._authentic(env, wall):
+        if not self._authentic(env, listed):
             return []
         self.floor = max(floor_now, floor)
         if merged is not self.state:
@@ -452,7 +456,8 @@ class DiscoveryDriver:
         if instance <= floor and not helps and (
                 session is None or instance != session.config.instance_id):
             return self._drop("no_news")
-        if not self._authentic(env, wall):
+        if self._admit(known[1], wall) is None or \
+                not self._authentic(env, known[1]):
             return []
         out: list[ManagementEnvelope] = []
         if helps:
@@ -494,11 +499,6 @@ class DiscoveryDriver:
         self.stats[reason] = self.stats.get(reason, 0) + 1
         return []
 
-    def _remember(self, cert: PeerCertificate):
-        uid = cert.uid_for_group(self.scope.group)
-        if uid is not None:
-            self._known[cert.fingerprint] = (uid, cert)
-
     def _admit(self, cert: PeerCertificate, wall) -> int | None:
         """Chain + permission check on every use; returns the uid.
 
@@ -526,20 +526,18 @@ class DiscoveryDriver:
         self._known[cert.fingerprint] = (perm.uid, cert)
         return perm.uid
 
-    def _authentic(self, env: ManagementEnvelope, wall) -> bool:
-        """The one signature gate, after every cheap check. A copy of the
-        last JOIN or round verified from the same signer passes unchecked:
-        this scope fixes the rest of the signed region. Views are signed
-        afresh on every send, so none is kept."""
-        known = self._known.get(env.signer_ref)
-        if known is None or self._admit(known[1], wall) is None:
-            return False
-        key = (env.signer_ref, env.kind)
+    def _authentic(self, env: ManagementEnvelope,
+                   cert: PeerCertificate) -> bool:
+        """The one signature gate, after every cheap check and the admission
+        of the signer's ``cert``. A copy of the last JOIN or round verified
+        from the same signer passes unchecked: this scope fixes the rest of
+        the signed region. Views are signed afresh on every send."""
+        key = (cert.fingerprint, env.kind)
         memo = (env.signature, env.payload)
         if self._verified.get(key) == memo:
             return True
         region = signed_region(env.kind, env.group, env.channel, env.payload)
-        if not crypto.verify(region, env.signature, known[1].public_key()):
+        if not crypto.verify(region, env.signature, cert.public_key()):
             self._drop("bad_signature")
             return False
         if env.kind is not MsgKind.JOIN_RESPONSE:

@@ -188,11 +188,10 @@ def authorize(cert: PeerCertificate, domain: LCMDomain,
 
 
 class VerificationResult:
-    """Truthy on success; carries a human-readable reason either way."""
+    """Truthy on success; carries a reason, and the signing root if any."""
 
-    def __init__(self, ok: bool, reason: str):
-        self.ok = ok
-        self.reason = reason
+    def __init__(self, ok: bool, reason: str, root=None):
+        self.ok, self.reason, self.root = ok, reason, root
 
     def __bool__(self):
         return self.ok
@@ -227,7 +226,8 @@ def verify_chain(cert: PeerCertificate, roots: list[x509.Certificate],
             if not (root.not_valid_before_utc <= now
                     <= root.not_valid_after_utc):
                 return VerificationResult(False, "root expired")
-            return VerificationResult(True, "signed by a configured root")
+            return VerificationResult(True, "signed by a configured root",
+                                      root)
     return VerificationResult(False, "not signed by a configured root")
 
 

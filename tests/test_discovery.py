@@ -791,6 +791,24 @@ def test_expired_certificate_refused_on_every_use(make_drivers, ca, roots,
     assert verify_calls == []
 
 
+def test_floor_candidate_counts_one_drop_reason(make_drivers, verify_calls):
+    # while agreeing, a view only offers its floor; a forged one counts as
+    # bad_signature alone, an authentic one raises the floor
+    a, b, _, t = agreeing_pair(make_drivers)
+    b.floor = a.floor + 4
+    resp = b._view_response()
+    forged = dataclasses.replace(
+        resp, signature=bytes([resp.signature[0] ^ 1]) + resp.signature[1:])
+    before = snapshot(a)
+    verify_calls.clear()
+    assert a.handle(forged, t) == []
+    assert a.stats["bad_signature"] == 1
+    assert "response_ignored" not in a.stats and snapshot(a) == before
+    assert a.handle(resp, t) == []
+    assert a.floor == b.floor and a.stats["response_ignored"] == 1
+    assert len(verify_calls) == 2
+
+
 def test_round_of_the_wrong_kind_dropped_before_verification(make_drivers,
                                                              verify_calls):
     # the parse step checks the round number against the kind: a round-1
@@ -944,6 +962,32 @@ def signed_join(scope, cert, key, t_ms):
         kind=MsgKind.JOIN, group=scope.group, channel=scope.channel,
         payload=payload, signer_ref=cert.fingerprint,
         signature=crypto.sign(region, key))
+
+
+def test_chain_verdict_outlives_a_root_that_did_not_sign(tmp_path):
+    # a store that keeps the old root through a rotation: the old root
+    # lapsing ends trust in what it signed, not in the new root's members
+    old = CertificateAuthority.create(tmp_path / "old", validity_days=1)
+    new = CertificateAuthority.create(tmp_path / "new")
+    group = f"239.77.{next(_group_counter)}.1:7667"
+
+    def member(authority, uid):
+        key = ec.generate_private_key(ec.SECP256R1())
+        return PeerCertificate(authority.issue(
+            [DomainUrn(group=group, channel="*", id=uid)], key.public_key()))
+
+    kept, lapsed = member(new, 1), member(old, 2)
+    now = datetime.datetime.now(datetime.timezone.utc)
+    later = old.cert.not_valid_after_utc + datetime.timedelta(seconds=1)
+    chains = ChainVerdicts([old.cert, new.cert])
+    assert chains.trusted(kept, now) and chains.trusted(lapsed, now)
+    assert chains.trusted(kept, later)
+    assert not chains.trusted(lapsed, later)
+    assert ChainVerdicts([old.cert, new.cert]).trusted(kept, later)
+    # the member's own expiry still ends it
+    expired = kept.cert.not_valid_after_utc + datetime.timedelta(seconds=1)
+    assert not chains.trusted(kept, expired)
+    assert not ChainVerdicts([old.cert, new.cert]).trusted(kept, expired)
 
 
 def test_refused_certificate_chain_checked_once(make_drivers, member_factory,
