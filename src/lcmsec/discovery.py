@@ -453,8 +453,15 @@ class DiscoveryDriver:
                  and uid in done.config.uids)
         floor = self.floor
         session = self._session if self.phase is Phase.AGREEING else None
-        if instance <= floor and not helps and (
-                session is None or instance != session.config.instance_id):
+        running = session is not None and \
+            instance == session.config.instance_id
+        if not helps and (
+                (instance <= floor and not running)
+                or (running and round_no == 1
+                    and uid in session.config.uids
+                    and uid not in session.round1_uids)):
+            # an old round, or a round 1 of the running agreement that
+            # this member's key never reads
             return self._drop("no_news")
         if self._admit(known[1], wall) is None or \
                 not self._authentic(env, known[1]):

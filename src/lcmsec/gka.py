@@ -151,7 +151,9 @@ class GkaSession:
     kind and instance freshness before handing the fields in; the session
     checks that the round is of its own instance and that the signer is
     the ring member the payload names. ``sent`` holds the rounds this
-    member broadcast, in order.
+    member broadcast, in order. A member's key reads only the round 1 of
+    the members in ``round1_uids``; the session drops the rest unparsed,
+    and so does the driver, before their signature checks.
     """
 
     def __init__(self, config: RingConfig, identity: LocalIdentity, *,
@@ -169,6 +171,12 @@ class GkaSession:
                           enumerate(config.participants)}
         self._uid_by_ref = {cert.fingerprint: uid
                             for uid, cert in config.participants}
+        i = config.my_index
+        #: ring members whose round 1 this member's key reads: itself and
+        #: its two neighbours (a passive follower's are those of the
+        #: representative it simulates); every round 2 is read
+        self.round1_uids = frozenset(
+            config.uids[j % self._n] for j in (i - 1, i, i + 1))
         self._z: dict[int, object] = {}      # ring index -> round-1 element
         self._y: dict[int, object] = {}      # ring index -> round-2 element
         self._kl = None
@@ -222,6 +230,8 @@ class GkaSession:
             return self._drop("unknown_sender")
         if signer_uid != uid:
             return self._drop("bad_signature")
+        if round_no == 1 and uid not in self.round1_uids:
+            return []                    # the key never reads it
         try:
             element = P256.deserialize(element_raw)
         except InvalidElement:
@@ -249,7 +259,7 @@ class GkaSession:
             return []
         if self._deadline is not None and now >= self._deadline:
             self._fail(f"timed out in phase {self.phase.value} "
-                       f"({len(self._z)}/{self._n} round-1, "
+                       f"({len(self._z)}/{len(self.round1_uids)} round-1, "
                        f"{len(self._y)}/{self._n} round-2)")
             return []
         # a passive follower sends nothing, so it has no resend time

@@ -19,12 +19,14 @@ from lcmsec import crypto, discovery
 from lcmsec.discovery import (ChainVerdicts, CommitResult, DiscoveryDriver,
                               DiscoveryState, Phase, T_SENTINEL,
                               assign_sender_ids, compare, merge_max)
+from lcmsec.ecgroup import P256, P256Group
 from lcmsec.errors import NotAuthorized
 from lcmsec.gka import JoinMode, KeyAgreeMode, LocalIdentity, sign_envelope
 from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
                              PeerCertificate)
 from lcmsec.wire import (ManagementEnvelope, MsgKind, decode_management,
-                         encode_join_payload, encode_management,
+                         encode_gka_payload, encode_join_payload,
+                         encode_management,
                          parse_join_response_payload, signed_region)
 
 _group_counter = itertools.count()
@@ -1067,3 +1069,120 @@ def test_chain_verdict_never_outlives_the_certificate(member_factory, roots,
     assert not ChainVerdicts(roots).trusted(
         cert, expiry + datetime.timedelta(seconds=1))
     assert len(chain_calls) == 2
+
+
+# ------------------------------------ round 1 only from the ring neighbours
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Counts every P-256 element the control plane decodes."""
+    calls = []
+    real = P256Group.deserialize
+
+    def counting(self, data):
+        calls.append(data)
+        return real(self, data)
+
+    monkeypatch.setattr(P256Group, "deserialize", counting)
+    return calls
+
+
+def freeze_holding_round1(drivers, now):
+    """Run the drivers' timers, delivering everything but round 1, until
+    every one agrees; returns the held round 1 by uid and the time."""
+    held = {}
+    while not all(d.phase is Phase.AGREEING for d in drivers):
+        now = min(w for w in (d.next_wakeup() for d in drivers)
+                  if w is not None)
+        for d in drivers:
+            for env in d.on_timer(now):
+                if env.kind is MsgKind.GKA_ROUND1:
+                    held[d.identity.uid] = env
+                else:
+                    deliver(drivers, [env], now)
+    return held, now
+
+
+def agreeing_ring(make_drivers, uids):
+    drivers = make_drivers(uids)
+    deliver(drivers, [e for d in drivers for e in d.initiate_join(0.0)], 0.0)
+    return (drivers, *freeze_holding_round1(drivers, 0.0))
+
+
+def test_round1_the_key_never_reads_costs_no_check(make_drivers,
+                                                   verify_calls,
+                                                   decode_calls):
+    # a member's key reads its two neighbours' round 1 and no other
+    drivers, round1, t = agreeing_ring(make_drivers, [1, 2, 3, 4, 5])
+    a = drivers[0]
+    assert a._session.round1_uids == {5, 1, 2}
+    no_news = a.stats.get("no_news", 0)
+    before = snapshot(a)
+    verify_calls.clear()
+    decode_calls.clear()
+    for uid in (3, 4):
+        assert a.handle(round1[uid], t) == []
+    assert verify_calls == [] and decode_calls == []
+    assert a.stats["no_news"] - no_news == 2
+    assert snapshot(a) == before
+    # the neighbours' round 1 are checked, and a's own round 2 follows
+    out = []
+    for uid in (2, 5):
+        out += a.handle(round1[uid], t)
+    assert len(verify_calls) == 2 and len(decode_calls) == 2
+    assert kinds(out) == [MsgKind.GKA_ROUND2]
+
+
+def test_passive_follower_checks_the_representative_it_simulates(
+        make_drivers, verify_calls, decode_calls):
+    # five incumbents, one joiner: the ring is reps 1, 2, 5 then joiner 6,
+    # and incumbent 3 follows passively as representative 1
+    incumbents = make_drivers([1, 2, 3, 4, 5])
+    t = run_network(incumbents)
+    (joiner,) = make_drivers([6], group=incumbents[0].scope.group)
+    drivers = incumbents + [joiner]
+    deliver(drivers, joiner.initiate_join(t), t)
+    round1, t = freeze_holding_round1(drivers, t)
+    p = incumbents[2]
+    assert p._session.passive and p._session.round1_uids == {6, 1, 2}
+    before = snapshot(p)
+    verify_calls.clear()
+    decode_calls.clear()
+    assert p.handle(round1[5], t) == []
+    assert verify_calls == [] and decode_calls == []
+    assert snapshot(p) == before
+    # the simulated representative's round 1 is verified and compared
+    assert p.handle(round1[1], t) == []
+    assert len(verify_calls) == 1 and len(decode_calls) == 1
+    assert snapshot(p) == before
+    rep = incumbents[0]
+    other = P256.exp(P256.generator, 12345)
+    session = rep._session
+    forged = sign_envelope(MsgKind.GKA_ROUND1, rep.scope, rep.identity,
+                           encode_gka_payload(1, 1, P256.serialize(other),
+                                              session.config.instance_id))
+    p.handle(forged, t)
+    assert len(verify_calls) == 2
+    assert p.stats["agreements_failed"] == 1
+    assert p.take_events()[-1] == (
+        "failed", "representative traffic does not match the previous seed")
+
+
+def test_round1_from_a_member_missing_from_the_ring_restarts(
+        make_drivers, verify_calls):
+    # e is admitted but outside the frozen ring; its round 1 of the running
+    # instance shows the views diverged, so it is verified and restarts
+    drivers, _, t = agreeing_ring(make_drivers, [1, 2, 3, 4])
+    a = drivers[0]
+    (e,) = make_drivers([5], group=a.scope.group)
+    deliver([a], e.initiate_join(t), t)
+    instance = a._session.config.instance_id
+    stray = sign_envelope(
+        MsgKind.GKA_ROUND1, a.scope, e.identity,
+        encode_gka_payload(5, 1, P256.serialize(P256.generator), instance))
+    verify_calls.clear()
+    assert kinds(a.handle(stray, t)) == [MsgKind.JOIN]
+    assert len(verify_calls) == 1
+    assert a.stats["agreements_failed"] == 1
+    assert a.phase is Phase.GATHERING

@@ -356,6 +356,23 @@ def test_timeout_fails_round(make_members):
     assert "timed out" in sessions[0].failure_reason
 
 
+def test_session_reads_round1_only_from_its_neighbours(make_members):
+    # the key uses the round 1 of the two ring neighbours and every
+    # round 2, so the session keeps no other round 1 and its timeout
+    # reason counts only the round 1 it reads
+    scope, members = make_members(range(1, 6))
+    sessions = keyagree_sessions(scope, members)
+    envs = {s.identity.uid: s.start(0.0)[0] for s in sessions}
+    mine = sessions[0]
+    assert mine.round1_uids == {5, 1, 2}
+    for uid in (3, 4, 2):
+        assert hand_in(mine, envs[uid], 0.1) == []
+    assert set(mine._z) == {0, 1}
+    mine.on_timer(2.5)
+    assert mine.failure_reason == ("timed out in phase r1-sent "
+                                   "(2/3 round-1, 0/5 round-2)")
+
+
 def test_rebroadcast_same_bytes(make_members):
     scope, members = make_members([1, 2])
     sessions = keyagree_sessions(scope, members)
