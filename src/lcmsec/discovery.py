@@ -20,10 +20,11 @@ unverified message never changes state, raises a floor, triggers help or
 draws from the RNG.
 
 Periodic resends stop once a peer has shown it holds what they carry, as
-in Trickle (RFC 6206). A gathering node skips its next view gossip tick
-after another node sent it an authenticated copy of its own view and
-floor, and a joining node stops re-announcing once an authenticated view
-from another node lists it among the joiners.
+in Trickle (RFC 6206). A gathering node gossips its view at a pace that
+doubles while its view and floor hold and drops back on any change. It
+skips a gossip tick after another node sent it an authenticated copy of
+its own view and floor, and a joining node stops re-announcing once an
+authenticated view from another node lists it among the joiners.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import datetime
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from hashlib import sha256
 
 from .errors import (Expired, MalformedUrn, NotAuthorized, NonCanonical,
@@ -63,6 +65,9 @@ JOIN_REBROADCAST = 0.200
 #: responses otherwise leave views quietly diverged until the ring
 #: agreement folds garbage and everything restarts
 VIEW_GOSSIP = 0.150
+#: the gossip interval doubles while the view and floor hold, up to this,
+#: and drops back to VIEW_GOSSIP when either changes (Trickle, RFC 6206)
+VIEW_GOSSIP_MAX = 4 * VIEW_GOSSIP
 #: JOINs promising a deadline further out than this are dropped
 MAX_JOIN_HORIZON = 60.0
 
@@ -93,9 +98,14 @@ class DiscoveryState:
         return h.digest()
 
     def sort_key(self):
+        return self._sort_key
+
+    @cached_property
+    def _sort_key(self):
         # more participants, then more joiners, then the EARLIER deadline;
         # membership breaks exact ties before certificate bytes do, so two
-        # views differing in uids never order by key-generation entropy
+        # views differing in uids never order by key-generation entropy.
+        # Kept per state: a state is never changed once built.
         return (len(self.participants), len(self.joining), -self.t_ms,
                 tuple(sorted(self.participants)), tuple(sorted(self.joining)),
                 self.canonical())
@@ -192,6 +202,9 @@ class DiscoveryDriver:
         self._response_at: float | None = None
         self._join_resend_at: float | None = None
         self._gossip_at: float | None = None
+        self._gossip_interval = VIEW_GOSSIP
+        #: (view, floor) when the gossip timer was last armed
+        self._gossip_view: tuple[DiscoveryState, int] | None = None
         #: (view, floor) another node sent authenticated since the last
         #: gossip tick; the next tick is skipped while they are still ours
         self._echo: tuple[DiscoveryState, int] | None = None
@@ -206,7 +219,8 @@ class DiscoveryDriver:
             return self._drop("join_while_agreeing")
         if self.phase is not Phase.IDLE:
             return self._drop("join_while_active")
-        authorize(self.identity.cert, self.scope)   # NotAuthorized propagates
+        # NotAuthorized and Expired propagate; a restart catches Expired
+        authorize(self.identity.cert, self.scope)
         t_ms = self._fresh_deadline(now)
         self.state = DiscoveryState(
             participants={}, joining={self.identity.uid: self.identity.cert},
@@ -225,10 +239,13 @@ class DiscoveryDriver:
             return self._drop("wrong_scope")
         wall = datetime.datetime.now(datetime.timezone.utc)
         if env.kind is MsgKind.JOIN:
-            return self._handle_join(env, now, wall)
-        if env.kind is MsgKind.JOIN_RESPONSE:
-            return self._handle_join_response(env, now, wall)
-        return self._handle_gka(env, now, wall)
+            out = self._handle_join(env, now, wall)
+        elif env.kind is MsgKind.JOIN_RESPONSE:
+            out = self._handle_join_response(env, now, wall)
+        else:
+            out = self._handle_gka(env, now, wall)
+        self._retrickle(now)
+        return out
 
     def on_timer(self, now: float) -> list[ManagementEnvelope]:
         out: list[ManagementEnvelope] = []
@@ -246,11 +263,12 @@ class DiscoveryDriver:
             else:
                 self._join_resend_at = None
         if self.phase is Phase.GATHERING:
-            if self._gossip_at is None:
-                self._arm_gossip(now)
-            elif now >= self._gossip_at:
+            self._retrickle(now)
+            if now >= self._gossip_at:
                 echoed = self._echoed()
-                self._arm_gossip(now)
+                self._echo = None
+                self._arm_gossip(now, min(2 * self._gossip_interval,
+                                          VIEW_GOSSIP_MAX))
                 if echoed:
                     self._drop("gossip_echoed")
                 else:
@@ -458,8 +476,8 @@ class DiscoveryDriver:
         if not helps and (
                 (instance <= floor and not running)
                 or (running and round_no == 1
-                    and uid in session.config.uids
-                    and uid not in session.round1_uids)):
+                    and uid not in session.round1_uids
+                    and uid in session.config.uids)):
             # an old round, or a round 1 of the running agreement that
             # this member's key never reads
             return self._drop("no_news")
@@ -621,12 +639,27 @@ class DiscoveryDriver:
             self._response_at = now + self.rng.uniform(RESPONSE_DELAY_MIN,
                                                        RESPONSE_DELAY_MAX)
 
-    def _arm_gossip(self, now: float) -> None:
+    def _arm_gossip(self, now: float, interval: float = VIEW_GOSSIP
+                    ) -> None:
+        """Next gossip tick ``interval`` ahead; a tick passes the doubled
+        interval only if the view and floor held since this arm."""
+        view = (self.state, self.floor)
+        if view != self._gossip_view:
+            interval = VIEW_GOSSIP
+        self._gossip_view = view
+        self._gossip_interval = interval
         # jittered so a cohort entering a gathering together does not fire
         # in synchronized bursts
-        self._echo = None
-        self._gossip_at = now + VIEW_GOSSIP * (
+        self._gossip_at = now + interval * (
             0.75 + self.rng.uniform(0.0, 0.5))
+
+    def _retrickle(self, now: float) -> None:
+        """A changed view or floor goes back to the base gossip pace at
+        once, as Trickle resets on an inconsistency."""
+        if (self.phase is Phase.GATHERING
+                and self._gossip_interval > VIEW_GOSSIP
+                and (self.state, self.floor) != self._gossip_view):
+            self._arm_gossip(now)
 
     def _freeze(self, now: float, instance_id: int
                 ) -> list[ManagementEnvelope]:
@@ -720,4 +753,11 @@ class DiscoveryDriver:
         self._response_at = None
         self.state = DiscoveryState()
         self.phase = Phase.IDLE
-        return self.initiate_join(now)
+        try:
+            return self.initiate_join(now)
+        except Expired:
+            # peers refuse a lapsed certificate, so announcing it again
+            # would only spend datagrams: the scope stays idle
+            log.warning("%s/%s: own certificate expired, not rejoining",
+                        self.scope.group, self.scope.channel or "<group>")
+            return self._drop("own_cert_expired")

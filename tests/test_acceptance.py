@@ -292,8 +292,8 @@ def test_criterion_06_replay_window_equals_oracle(record_property):
 
 
 def test_criterion_07_lossy_cold_starts_converge(record_property):
-    golden = {(2, 1): (6, 11), (8, 1): (16, 20),
-              (16, 1): (32, 28), (32, 1): (96, 111)}
+    golden = {(2, 1): (6, 8), (8, 1): (16, 20),
+              (16, 1): (48, 53), (32, 1): (64, 55)}
     medians = {}
     worst_virtual = 0.0
     converged_total = 0

@@ -9,13 +9,14 @@ import functools
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmsec import crypto, discovery
+from lcmsec import crypto, discovery, gka
 from lcmsec.discovery import (ChainVerdicts, CommitResult, DiscoveryDriver,
                               DiscoveryState, Phase, T_SENTINEL,
                               assign_sender_ids, compare, merge_max)
@@ -793,6 +794,29 @@ def test_expired_certificate_refused_on_every_use(make_drivers, ca, roots,
     assert verify_calls == []
 
 
+def test_own_expired_certificate_leaves_the_scope_idle(make_drivers, ca):
+    # b's own certificate lapses while its agreement runs; when that
+    # agreement times out, b must not raise out of its timer or announce
+    # a JOIN its peers would refuse
+    (a,) = make_drivers([1])
+    key = ec.generate_private_key(ec.SECP256R1())
+    cert = PeerCertificate(ca.issue(
+        [DomainUrn(group=a.scope.group, channel="*", id=2)],
+        key.public_key(), common_name="node-2", validity_days=2 / 86400))
+    b = DiscoveryDriver(a.scope, LocalIdentity(2, cert, key),
+                        a.chains, random.Random(2))
+    _, t = agree(a, b)
+    wait = cert.cert.not_valid_after_utc - datetime.datetime.now(
+        datetime.timezone.utc)
+    time.sleep(max(0.0, wait.total_seconds()) + 0.05)
+    assert b.on_timer(t + gka.ROUND_TIMEOUT + 0.01) == []
+    assert b.phase is Phase.IDLE
+    assert b.stats["agreements_failed"] == 1
+    assert b.stats["own_cert_expired"] == 1
+    assert b.next_wakeup() is None
+    assert b.on_timer(t + 10.0) == []
+
+
 def test_floor_candidate_counts_one_drop_reason(make_drivers, verify_calls):
     # while agreeing, a view only offers its floor; a forged one counts as
     # bad_signature alone, an authentic one raises the floor
@@ -922,6 +946,69 @@ def test_differing_view_never_skips_gossip(make_drivers, verify_calls):
     assert a.handle(smaller[0], 0.105) == []
     assert verify_calls == [] and a.stats["no_news"] == 1
     assert MsgKind.JOIN_RESPONSE in kinds(a.on_timer(a._gossip_at))
+
+
+def gossip_ticks(d, now, count):
+    """Run ``count`` of d's gossip ticks; returns their times and what d
+    sent, by kind."""
+    times, sent = [], Counter()
+    for _ in range(count):
+        now = d.next_wakeup()
+        assert now == d._gossip_at
+        sent.update(kinds(d.on_timer(now)))
+        times.append(now)
+    return times, sent
+
+
+def assert_paced(start, times, intervals):
+    """Each gap between ticks lies in the jitter range of its interval."""
+    gaps = [t - s for s, t in zip([start] + times, times)]
+    for gap, interval in zip(gaps, intervals, strict=True):
+        assert 0.75 * interval <= gap + 1e-9 <= 1.25 * interval, (gaps,
+                                                                 intervals)
+
+
+@pytest.mark.parametrize("channel", ["", "chatter"])
+def test_view_gossip_doubles_while_the_view_holds(make_drivers,
+                                                  member_factory, channel):
+    # Trickle (RFC 6206): a gathering gossips its view at VIEW_GOSSIP, and
+    # the interval doubles after every tick at which view and floor held,
+    # up to VIEW_GOSSIP_MAX; a changed floor or view drops it back at once
+    a, b = make_drivers([1, 2], channel=channel)
+    t = run_network([a, b])
+    base, cap = discovery.VIEW_GOSSIP, discovery.VIEW_GOSSIP_MAX
+    assert cap == 4 * base
+
+    def join(uid, now):
+        cert, key = member_factory(a.scope.group, ("*",), uid)
+        # a deadline 20 s out keeps the gathering open for every tick
+        deliver([a], [signed_join(a.scope, cert, key,
+                                  int(now * 1000) + 20_000)], now)
+        flush = a._response_at
+        assert kinds(a.on_timer(flush)) == [MsgKind.JOIN_RESPONSE]
+        return flush
+
+    start = join(3, t)
+    assert a.phase is Phase.GATHERING
+    times, sent = gossip_ticks(a, start, 5)
+    assert_paced(start, times, [base, 2 * base, cap, cap, cap])
+    # b is committed and silent, so nothing echoes: every tick sends
+    assert sent == {MsgKind.JOIN_RESPONSE: 5}
+
+    # an authenticated floor above a's resets the pace at once
+    b.floor = a.floor + 2
+    changed = times[-1] + 0.05
+    deliver([a], [b._view_response()], changed)
+    assert a.floor == b.floor
+    times, sent = gossip_ticks(a, changed, 2)
+    assert_paced(changed, times, [base, 2 * base])
+
+    # so does a changed view: a new joiner, flushed at once
+    start = join(4, times[-1] + 0.05)
+    assert set(a.state.joining) == {3, 4}
+    times, sent = gossip_ticks(a, start, 3)
+    assert_paced(start, times, [base, 2 * base, cap])
+    assert sent == {MsgKind.JOIN_RESPONSE: 3}
 
 
 def test_joiner_stops_announcing_once_a_view_lists_it(make_drivers):
