@@ -1245,10 +1245,9 @@ def test_passive_follower_checks_the_representative_it_simulates(
     assert snapshot(p) == before
     rep = incumbents[0]
     other = P256.exp(P256.generator, 12345)
-    session = rep._session
     forged = sign_envelope(MsgKind.GKA_ROUND1, rep.scope, rep.identity,
                            encode_gka_payload(1, 1, P256.serialize(other),
-                                              session.config.instance_id))
+                                              rep._session.config.instance_id))
     p.handle(forged, t)
     assert len(verify_calls) == 2
     assert p.stats["agreements_failed"] == 1
