@@ -38,8 +38,8 @@ from hashlib import sha256
 
 from .errors import (Expired, MalformedUrn, NotAuthorized, NonCanonical,
                      Truncated)
-from .gka import (GkaPhase, GkaSession, JoinMode, KeyAgreeMode,
-                  LocalIdentity, RingConfig, build_join_ring, sign_envelope)
+from .gka import (GkaPhase, GkaSession, LocalIdentity, RingConfig, ring_order,
+                  sign_envelope)
 from .identity import LCMDomain, PeerCertificate, authorize, verify_chain
 from .wire import (ManagementEnvelope, MsgKind, encode_join_payload,
                    encode_join_response_payload, parse_gka_payload,
@@ -219,8 +219,14 @@ class DiscoveryDriver:
             return self._drop("join_while_agreeing")
         if self.phase is not Phase.IDLE:
             return self._drop("join_while_active")
-        # NotAuthorized and Expired propagate; a restart catches Expired
-        authorize(self.identity.cert, self.scope)
+        try:
+            authorize(self.identity.cert, self.scope)   # NotAuthorized raises
+        except Expired:
+            # peers refuse a lapsed certificate, so announcing it would
+            # only spend datagrams: the scope stays idle
+            log.warning("%s/%s: own certificate expired, not joining",
+                        self.scope.group, self.scope.channel or "<group>")
+            return self._drop("own_cert_expired")
         t_ms = self._fresh_deadline(now)
         self.state = DiscoveryState(
             participants={}, joining={self.identity.uid: self.identity.cert},
@@ -679,25 +685,9 @@ class DiscoveryDriver:
         # lack the running seed, so a passive role would strand them
         core = [(u, c) for u, c in self.state.participants.items()
                 if u not in joining]
-        joiners = list(joining.items())
-        passive = False
-        if core:
-            ring, reps = build_join_ring(core, joiners)
-            mode = JoinMode(previous_seed=self.seed or b"",
-                            representatives=reps)
-            uid = self.identity.uid
-            passive = (uid not in joining and uid in self.state.participants
-                       and uid not in reps)
-            my_index = 0 if passive else [u for u, _ in ring].index(uid)
-        else:
-            ring = sorted(joiners, key=lambda p: p[0])
-            mode = KeyAgreeMode()
-            my_index = [u for u, _ in ring].index(self.identity.uid)
-        config = RingConfig(scope=self.scope, participants=ring,
-                            my_index=my_index, instance_id=instance_id,
-                            mode=mode)
-        session = GkaSession(config, self.identity, passive=passive,
-                             rng=self.rng)
+        config = RingConfig(self.scope, ring_order(core, joining.items()),
+                            instance_id, self.seed if core else None)
+        session = GkaSession(config, self.identity, rng=self.rng)
         out = session.start(now)
         # callers pass floor + 1 or a verified round's newer id
         self.floor = instance_id
@@ -753,11 +743,4 @@ class DiscoveryDriver:
         self._response_at = None
         self.state = DiscoveryState()
         self.phase = Phase.IDLE
-        try:
-            return self.initiate_join(now)
-        except Expired:
-            # peers refuse a lapsed certificate, so announcing it again
-            # would only spend datagrams: the scope stays idle
-            log.warning("%s/%s: own certificate expired, not rejoining",
-                        self.scope.group, self.scope.channel or "<group>")
-            return self._drop("own_cert_expired")
+        return self.initiate_join(now)

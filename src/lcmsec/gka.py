@@ -5,10 +5,12 @@ Diffie-Hellman keys a node shares with its right and left ring neighbors.
 From all Y values every member recovers every right key and folds them into
 one shared element, so two broadcast rounds suffice regardless of group size.
 
-Joins run the same exchange over a small ring: up to three incumbents plus
-the joiners. The first incumbent's scalar is derived from the previous
-session seed, which lets every other incumbent replay the exchange from
-broadcast traffic alone and stay silent.
+One :class:`RingConfig` describes an agreement, the same for every member,
+and each member derives its part from it. A join runs the same exchange
+over a small ring: up to three incumbents, then the joiners. The scalar at
+index 0 of a join is derived from the previous session seed, so every
+incumbent outside the ring replays that member's exchange from broadcast
+traffic alone and stays silent.
 
 Every message carries the agreement's instance id, and a session accepts
 only its own. The discovery driver picks ids above every id it has attempted
@@ -19,7 +21,8 @@ no longer runs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
@@ -60,72 +63,38 @@ def sign_envelope(kind: MsgKind, scope: LCMDomain, identity: LocalIdentity,
         signature=crypto.sign(region, identity.key))
 
 
-@dataclass(frozen=True)
-class KeyAgreeMode:
-    pass
+def ring_order(participants: Iterable[tuple[int, PeerCertificate]],
+               joiners: Iterable[tuple[int, PeerCertificate]],
+               ) -> list[tuple[int, PeerCertificate]]:
+    """The ring of an agreement, as every member orders it.
 
-
-@dataclass(frozen=True)
-class JoinMode:
-    previous_seed: bytes
-    representatives: tuple[int, ...]   # 1..3 incumbent uids, ring-leading
-
-    def __post_init__(self):
-        if not 1 <= len(self.representatives) <= 3:
-            raise ValueError("need 1..3 representatives")
-
-
-def representative_uids(participant_uids: list[int]) -> tuple[int, ...]:
-    """First, second, and last incumbent by uid, deduplicated."""
-    ordered = sorted(participant_uids)
-    picks = [ordered[0]]
-    if len(ordered) > 1:
-        picks.append(ordered[1])
-    if ordered[-1] not in picks:
-        picks.append(ordered[-1])
-    return tuple(picks)
-
-
-def build_join_ring(participants: list[tuple[int, PeerCertificate]],
-                    joiners: list[tuple[int, PeerCertificate]],
-                    ) -> tuple[list[tuple[int, PeerCertificate]],
-                               tuple[int, ...]]:
-    """Ring for a join: representatives in uid order, then joiners by uid."""
-    by_uid = dict(participants)
-    reps = representative_uids(list(by_uid))
-    ring = [(uid, by_uid[uid]) for uid in reps]
-    ring.extend(sorted(joiners, key=lambda p: p[0]))
-    return ring, reps
+    Without ``participants`` it is a fresh agreement over the joiners in uid
+    order. A join ring starts with the representatives, the first, second
+    and last participant by uid, followed by the joiners by uid.
+    """
+    by_uid = sorted(participants, key=lambda p: p[0])
+    return by_uid[:2] + by_uid[2:][-1:] + sorted(joiners, key=lambda p: p[0])
 
 
 @dataclass(frozen=True)
 class RingConfig:
+    """One agreement, described alike for every member: its ring in
+    :func:`ring_order`, its instance id and, for a join, the previous
+    session seed."""
+
     scope: LCMDomain
     participants: list[tuple[int, PeerCertificate]]  # ring order
-    my_index: int
     instance_id: int
-    mode: KeyAgreeMode | JoinMode = field(default_factory=KeyAgreeMode)
+    previous_seed: bytes | None = None
 
     def __post_init__(self):
-        uids = [uid for uid, _ in self.participants]
+        uids = self.uids
         if len(set(uids)) != len(uids):
             raise ValueError("duplicate uid in ring")
         if len(uids) < 2:
             raise ValueError("ring needs at least two members")
-        if not 0 <= self.my_index < len(uids):
-            raise ValueError("my_index outside ring")
-        if isinstance(self.mode, KeyAgreeMode) and uids != sorted(uids):
-            raise ValueError("key-agreement ring must be uid-ascending")
-        if isinstance(self.mode, JoinMode):
-            if tuple(uids[:len(self.mode.representatives)]) != \
-                    self.mode.representatives:
-                raise ValueError("ring must start with the representatives")
         if self.instance_id < 1:
             raise ValueError("instance id starts at 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.participants)
 
     @property
     def uids(self) -> list[int]:
@@ -143,9 +112,11 @@ class GkaPhase(Enum):
 class GkaSession:
     """One in-flight agreement instance; messages are handed in one by one.
 
-    Active members broadcast; a passive incumbent is constructed with
-    ``passive=True`` and a config whose ``my_index`` points at the first
-    representative, whose view it reconstructs without transmitting.
+    Every member gets the same :class:`RingConfig` and derives its part
+    from its own uid: a ring member plays its ring index, and an incumbent
+    outside a join ring is ``passive``. It plays index 0, the first
+    representative, whose view it reconstructs from the previous seed
+    without transmitting.
 
     The discovery driver parses each round and checks its signature, scope,
     kind and instance freshness before handing the fields in; the session
@@ -157,26 +128,29 @@ class GkaSession:
     """
 
     def __init__(self, config: RingConfig, identity: LocalIdentity, *,
-                 passive: bool = False, rng=None):
+                 rng=None):
         self.config = config
         self.identity = identity
-        self.passive = passive
         self.phase = GkaPhase.INIT
         self.seed: bytes | None = None
         self.failure_reason: str | None = None
         self.stats: dict[str, int] = {}
 
-        self._n = config.n
-        self._index_of = {uid: i for i, (uid, _) in
-                          enumerate(config.participants)}
+        uids = config.uids
+        self._n = len(uids)
+        self._index_of = {uid: i for i, uid in enumerate(uids)}
         self._uid_by_ref = {cert.fingerprint: uid
                             for uid, cert in config.participants}
-        i = config.my_index
+        self.passive = identity.uid not in self._index_of
+        if self.passive and config.previous_seed is None:
+            raise ValueError("only a join has members outside its ring")
+        #: the ring index whose part this member plays
+        self.index = i = self._index_of.get(identity.uid, 0)
         #: ring members whose round 1 this member's key reads: itself and
         #: its two neighbours (a passive follower's are those of the
         #: representative it simulates); every round 2 is read
         self.round1_uids = frozenset(
-            config.uids[j % self._n] for j in (i - 1, i, i + 1))
+            uids[j % self._n] for j in (i - 1, i, i + 1))
         self._z: dict[int, object] = {}      # ring index -> round-1 element
         self._y: dict[int, object] = {}      # ring index -> round-2 element
         self._kl = None
@@ -186,15 +160,8 @@ class GkaSession:
         self._deadline: float | None = None
         self._next_send: float | None = None
 
-        mode = config.mode
-        first_rep = (isinstance(mode, JoinMode)
-                     and config.uids[config.my_index]
-                     == mode.representatives[0])
-        if passive and not first_rep:
-            raise ValueError("passive follower must simulate the first "
-                             "representative")
-        if first_rep:
-            self._x = crypto.derive_join_scalar(mode.previous_seed,
+        if config.previous_seed is not None and i == 0:
+            self._x = crypto.derive_join_scalar(config.previous_seed,
                                                 config.instance_id)
         else:
             self._x = P256.random_scalar(rng)
@@ -205,7 +172,7 @@ class GkaSession:
     def start(self, now: float) -> list[ManagementEnvelope]:
         if self.phase is not GkaPhase.INIT:
             return []
-        self._z[self.config.my_index] = self._my_z
+        self._z[self.index] = self._my_z
         self.phase = GkaPhase.R1_SENT
         self._deadline = now + ROUND_TIMEOUT
         if self.passive:
@@ -241,7 +208,7 @@ class GkaSession:
         store = self._z if round_no == 1 else self._y
         if index in store:
             if store[index] != element:
-                if self.passive and index == self.config.my_index:
+                if self.passive and index == self.index:
                     # the simulated view was pre-stored; a verified message
                     # contradicting it means the previous seed diverged
                     self._fail("representative traffic does not match the "
@@ -298,7 +265,7 @@ class GkaSession:
     def _advance(self, now: float) -> list[ManagementEnvelope]:
         if self._keys_ready:
             return []
-        i, n = self.config.my_index, self._n
+        i, n = self.index, self._n
         left, right = (i - 1) % n, (i + 1) % n
         if left not in self._z or right not in self._z:
             return []
@@ -328,7 +295,7 @@ class GkaSession:
             return
         if not self._keys_ready or len(self._y) < self._n:
             return
-        i, n = self.config.my_index, self._n
+        i, n = self.index, self._n
         right_keys: list = [None] * n
         right_keys[i] = self._kr
         current = self._kr

@@ -70,10 +70,6 @@ class DomainUrn:
     def serialize(self) -> str:
         return f"{URN_PREFIX}:{self.group}:{self.channel}:{self.id}"
 
-    @property
-    def domain(self) -> LCMDomain:
-        return LCMDomain(self.group, self.channel)
-
     @classmethod
     def parse(cls, s: str) -> "DomainUrn":
         if not s.isascii():

@@ -21,7 +21,7 @@ from .crypto import channel_key_context, kdf_expand, key_context
 from .discovery import ChainVerdicts, CommitResult, DiscoveryDriver, Phase
 from .errors import CounterExhausted, LcmsecError
 from .gka import LocalIdentity
-from .identity import LCMDomain
+from .identity import LCMDomain, authorize
 from .session import DEFAULT_MTU, Session
 
 log = logging.getLogger(__name__)
@@ -44,8 +44,7 @@ class LcmsecNode:
         self.group = group
         self.channels = tuple(dict.fromkeys(channels))
         self.rng = rng or random.SystemRandom()
-        self.session = Session(group, self.channels, cert=identity.cert,
-                               mtu=mtu)
+        self.session = Session(group, self.channels, mtu=mtu)
         chains = ChainVerdicts(roots)
         self.drivers = {
             ch: DiscoveryDriver(LCMDomain(group, ch), identity, chains,
@@ -60,7 +59,13 @@ class LcmsecNode:
     # -------------------------------------------------------------- lifecycle
 
     def start(self, now: float) -> list[bytes]:
-        """Join the group scope; channel scopes follow the group commit."""
+        """Join the group scope; channel scopes follow the group commit.
+
+        Raises NotAuthorized or Expired, before anything is sent, unless the
+        certificate grants the group and every configured channel.
+        """
+        for driver in self.drivers.values():
+            authorize(self.identity.cert, driver.scope)
         return self._encode(self.drivers[""].initiate_join(now))
 
     @property
@@ -131,8 +136,9 @@ class LcmsecNode:
                 now: float) -> list[bytes]:
         """Encrypted datagrams for one message.
 
-        Raises NoKey before the scopes committed and CounterExhausted when
-        the sequence space is spent; exhaustion starts a group re-key by
+        Raises NoKey before the scopes committed or for a channel the node
+        was not configured with, and CounterExhausted when the sequence
+        space is spent; exhaustion starts a group re-key by
         itself, so the caller only has to retry once it completes.
         """
         try:

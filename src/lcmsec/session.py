@@ -16,8 +16,7 @@ from . import wire
 from .crypto import (TAG_LEN, KeyMaterial, aead_seal, aead_open, build_iv,
                      ctr_crypt)
 from .errors import (AuthFailure, BadName, CounterExhausted, LcmsecError,
-                     NoKey, NotAuthorized, TooShort)
-from .identity import LCMDomain, PeerCertificate, authorize
+                     NoKey, TooShort)
 from .wire import (FRAGMENT_SENDER, MAGIC_FRAGMENT, MAGIC_PLAIN,
                    MAGIC_SECURE, MAGIC_MANAGEMENT, MAX_CHANNELNAME,
                    SECURE_HEADER_LEN, ReassemblyBuffer, decode_fragment,
@@ -165,18 +164,15 @@ class Session:
     """
 
     def __init__(self, group: str, subscriptions=(), *,
-                 cert: PeerCertificate | None = None,
                  mtu: int = DEFAULT_MTU):
         self.group = group
         self.subscriptions = set(subscriptions)
-        self.cert = cert
         self.mtu = mtu
         self.keys = KeyStore()
         self.counter = SendCounter()
         self.sender_id: int | None = None
         self.stats = SessionStats()
         self._reassembly = ReassemblyBuffer()
-        self._publishable: dict[str, bool] = {}
         #: channel -> :meth:`_send_context`, cleared by every install
         self._sending: dict[str, tuple] = {}
         #: decrypted name with its NUL -> channel, for names subscribed to
@@ -207,21 +203,6 @@ class Session:
 
     # --------------------------------------------------------------- publish
 
-    def _check_publishable(self, channel: str):
-        if self.cert is None:
-            return
-        ok = self._publishable.get(channel)
-        if ok is None:
-            try:
-                authorize(self.cert, LCMDomain(self.group, channel))
-                ok = True
-            except NotAuthorized:
-                ok = False
-            self._publishable[channel] = ok
-        if not ok:
-            raise NotAuthorized(f"certificate covers no {channel!r} on "
-                                f"{self.group}")
-
     def _send_context(self, channel: str, now: float) -> tuple:
         """(name with NUL, group key, channel key, sender id, largest payload
         that fits one datagram): what every publish on ``channel`` needs
@@ -233,7 +214,6 @@ class Session:
         if not 0 < len(name) < MAX_CHANNELNAME or b"\x00" in name:
             raise BadName(repr(channel))
         name_nul = name + b"\x00"
-        self._check_publishable(channel)
         group_slots = self.keys.slots("", now)
         if not group_slots or self.sender_id is None:
             raise NoKey("group epoch not established")

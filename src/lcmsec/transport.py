@@ -119,10 +119,6 @@ class SimRunner:
         self._nodes.append((node, ep))
         return ep
 
-    @property
-    def nodes(self):
-        return [n for n, _ in self._nodes]
-
     def start_all(self):
         for node, ep in self._nodes:
             for datagram in node.start(self.net.now):

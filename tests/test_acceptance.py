@@ -25,8 +25,7 @@ from lcmsec.cli import (bench_discovery_run, bench_latency_udp_source,
                         load_config)
 from lcmsec.crypto import KeyMaterial
 from lcmsec.discovery import DiscoveryState, compare, merge_max
-from lcmsec.gka import (GkaPhase, GkaSession, JoinMode, LocalIdentity,
-                        RingConfig, build_join_ring, representative_uids)
+from lcmsec.gka import GkaPhase, LocalIdentity
 from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
                              PeerCertificate, save_certificate,
                              save_private_key)
@@ -35,8 +34,8 @@ from lcmsec.session import ReplayWindow, Session
 from lcmsec.transport import SimNet, SimRunner
 from lcmsec.wire import encode_plain_lcm, parse_gka_payload
 
-from test_gka import (hand_in, keyagree_sessions, oracle_seed,
-                      run_to_completion)
+from test_gka import (hand_in, join_sessions, keyagree_sessions,
+                      oracle_seed, run_to_completion)
 from test_session import bounded_shuffle
 
 _group_counter = itertools.count()
@@ -138,24 +137,6 @@ def test_criterion_02_bit_corruption_never_delivers(record_property):
 # ------------------------------------------------------------ key agreement
 
 
-def _manual_join(scope, by_uid, p_uids, j_uids, d, prev_seed, rng):
-    """Active and passive sessions for one join over an existing pool."""
-    ring, reps = build_join_ring([(u, by_uid[u].cert) for u in p_uids],
-                                 [(u, by_uid[u].cert) for u in j_uids])
-    mode = JoinMode(previous_seed=prev_seed, representatives=reps)
-    ring_uids = [u for u, _ in ring]
-    actives = [GkaSession(RingConfig(scope=scope, participants=ring,
-                                     my_index=ring_uids.index(u),
-                                     instance_id=d, mode=mode),
-                          by_uid[u], rng=random.Random(rng.getrandbits(32)))
-               for u in ring_uids]
-    passives = [GkaSession(RingConfig(scope=scope, participants=ring,
-                                      my_index=0, instance_id=d, mode=mode),
-                           by_uid[u], passive=True)
-                for u in sorted(set(p_uids) - set(reps))]
-    return actives, passives, reps
-
-
 def test_criterion_03_seeds_match_scalar_oracle(make_members,
                                                 record_property):
     started = time.perf_counter()
@@ -167,16 +148,15 @@ def test_criterion_03_seeds_match_scalar_oracle(make_members,
         seeds = {s.seed for s in sessions}
         assert seeds == {oracle_seed(sessions)}
 
-    by_uid = {m.uid: m for m in members}
     rng = random.Random(303)
     joins = 0
     for p_size in range(2, 9):
         for j_size in range(1, 5):
             p_uids = sorted(rng.sample(range(1, 13), p_size))
             j_uids = sorted(set(range(1, 17)) - set(p_uids))[:j_size]
-            actives, passives, _ = _manual_join(
-                scope, by_uid, p_uids, j_uids, d=100 + joins,
-                prev_seed=rng.randbytes(33), rng=rng)
+            actives, passives = join_sessions(
+                scope, members, p_uids, j_uids, d=100 + joins,
+                previous_seed=rng.randbytes(33), rng=rng)
             run_to_completion(actives + passives)
             for s in actives + passives:
                 assert s.phase is GkaPhase.DONE, s.failure_reason
@@ -191,19 +171,19 @@ def test_criterion_03_seeds_match_scalar_oracle(make_members,
 
 def test_criterion_04_join_transmitters_exact(make_members, record_property):
     scope, members = make_members(range(1, 14))
-    by_uid = {m.uid: m for m in members}
     rng = random.Random(404)
     for d, (p_size, j_size) in enumerate(
             [(2, 1), (3, 4), (5, 2), (7, 3), (8, 4), (8, 1)], start=2):
         p_uids = sorted(rng.sample(range(1, 14), p_size))
         j_uids = sorted(set(range(1, 14)) - set(p_uids))[:j_size]
-        actives, passives, reps = _manual_join(
-            scope, by_uid, p_uids, j_uids, d=d,
-            prev_seed=rng.randbytes(33), rng=rng)
-        assert set(reps) == set(representative_uids(p_uids))
+        actives, passives = join_sessions(
+            scope, members, p_uids, j_uids, d=d,
+            previous_seed=rng.randbytes(33), rng=rng)
+        # the first, second and last incumbent by uid
+        reps = {p_uids[0], p_uids[1], p_uids[-1]}
         transcript = run_to_completion(actives + passives)
         senders = {parse_gka_payload(env.payload)[0] for env in transcript}
-        assert senders == set(j_uids) | set(reps)
+        assert senders == set(j_uids) | reps
     record_property("detail", "6 joins, senders always J plus 3 incumbents")
 
 
@@ -216,12 +196,12 @@ def test_criterion_05_stale_round2_cannot_stall_joins(make_members,
         extra = rng.randint(1, 3)
         uids = range(1, p_size + j_size + extra + 1)
         scope, members = make_members(uids)
-        by_uid = {m.uid: m for m in members}
         p1 = sorted(rng.sample(list(uids), p_size))
         j1 = sorted(set(uids) - set(p1))[:j_size]
 
-        actives1, passives1, _ = _manual_join(
-            scope, by_uid, p1, j1, d=2, prev_seed=rng.randbytes(33), rng=rng)
+        actives1, passives1 = join_sessions(
+            scope, members, p1, j1, d=2, previous_seed=rng.randbytes(33),
+            rng=rng)
         transcript = run_to_completion(actives1 + passives1)
         seed1 = actives1[0].seed
         stale = [env for env in transcript
@@ -233,8 +213,8 @@ def test_criterion_05_stale_round2_cannot_stall_joins(make_members,
         j2 = sorted(set(j2) - set(p2))
         if not j2:
             continue
-        actives2, passives2, _ = _manual_join(
-            scope, by_uid, p2, j2, d=3, prev_seed=seed1, rng=rng)
+        actives2, passives2 = join_sessions(
+            scope, members, p2, j2, d=3, previous_seed=seed1, rng=rng)
         everyone = actives2 + passives2
 
         injections = list(stale) * rng.randint(1, 2)
@@ -291,6 +271,7 @@ def test_criterion_06_replay_window_equals_oracle(record_property):
                               f"0 double-accepts")
 
 
+@pytest.mark.slow
 def test_criterion_07_lossy_cold_starts_converge(record_property):
     golden = {(2, 1): (6, 8), (8, 1): (16, 20),
               (16, 1): (48, 53), (32, 1): (64, 55)}
@@ -399,6 +380,7 @@ def _latency_attempt(base, idx) -> list[dict]:
         reflector.wait(timeout=10)
 
 
+@pytest.mark.slow
 def test_criterion_09_echo_latency_bound(tmp_path, record_property):
     # loopback latency on a busy machine is noisy upward only, so the
     # bound is checked against the best of up to three runs per size

@@ -89,10 +89,8 @@ def test_agreement_multiplies_only_through_p256_exp(monkeypatch,
     members = [LocalIdentity(uid, *member_factory(group, uid=uid))
                for uid in (1, 2, 3)]
     ring = [(m.uid, m.cert) for m in members]
-    sessions = [GkaSession(RingConfig(scope=LCMDomain(group, ""),
-                                      participants=ring, my_index=i,
-                                      instance_id=1),
-                           m, rng=random.Random(i))
+    config = RingConfig(LCMDomain(group, ""), ring, 1)
+    sessions = [GkaSession(config, m, rng=random.Random(i))
                 for i, m in enumerate(members)]
     queue = [env for s in sessions for env in s.start(0.0)]
     while queue:

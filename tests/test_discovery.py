@@ -22,12 +22,12 @@ from lcmsec.discovery import (ChainVerdicts, CommitResult, DiscoveryDriver,
                               assign_sender_ids, compare, merge_max)
 from lcmsec.ecgroup import P256, P256Group
 from lcmsec.errors import NotAuthorized
-from lcmsec.gka import JoinMode, KeyAgreeMode, LocalIdentity, sign_envelope
+from lcmsec.gka import LocalIdentity, sign_envelope
 from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
                              PeerCertificate)
 from lcmsec.wire import (ManagementEnvelope, MsgKind, decode_management,
                          encode_gka_payload, encode_join_payload,
-                         encode_management,
+                         encode_join_response_payload, encode_management,
                          parse_join_response_payload, signed_region)
 
 _group_counter = itertools.count()
@@ -353,7 +353,7 @@ def test_cold_start_ring_is_uid_ordered(make_drivers):
     out = drivers[0].on_timer(latest)      # freeze one node, inspect its ring
     assert drivers[0].phase is Phase.AGREEING
     cfg = drivers[0]._session.config
-    assert isinstance(cfg.mode, KeyAgreeMode)
+    assert cfg.previous_seed is None
     assert cfg.uids == [3, 7, 9]
     assert any(e.kind is MsgKind.GKA_ROUND1 for e in out)
 
@@ -402,9 +402,10 @@ def test_join_ring_starts_with_representatives(make_drivers):
         out = everyone[i].on_timer(now)
         if everyone[i].phase is Phase.AGREEING:
             cfg = everyone[i]._session.config
-            assert isinstance(cfg.mode, JoinMode)
-            assert cfg.mode.representatives == (1, 2, 4)
             assert cfg.uids == [1, 2, 4, 9]
+            # an incumbent derives index 0's scalar from the running seed;
+            # the joiner holds none, and it never plays index 0
+            assert cfg.previous_seed == everyone[i].seed
             return
         deliver(everyone, out, now)
     raise AssertionError("join never froze")
@@ -1272,3 +1273,88 @@ def test_round1_from_a_member_missing_from_the_ring_restarts(
     assert len(verify_calls) == 1
     assert a.stats["agreements_failed"] == 1
     assert a.phase is Phase.GATHERING
+
+
+# ------------------------------------------------ malformed control input
+
+
+def forged_views(a, b, cb2, d):
+    """Forged JOINs and views for gathering ``a``, which holds b's JOIN,
+    by the drop reason each must count. ``cb2`` is a second certificate
+    for b's uid, ``d`` an identity a has never seen."""
+    t, scope = a.state.t_ms, a.scope
+    ca_, cb = a.identity.cert, b.identity.cert
+
+    def view(participants, joiners, signer=b.identity):
+        return sign_envelope(MsgKind.JOIN_RESPONSE, scope, signer,
+                             encode_join_response_payload(
+                                 t, [(u, c.der) for u, c in participants],
+                                 [(u, c.der) for u, c in joiners], 0))
+
+    honest = view([], [(1, ca_), (2, cb)])
+    return {
+        "malformed_join": sign_envelope(MsgKind.JOIN, scope, b.identity,
+                                        b"\x00" * 5),
+        # b signs a JOIN that carries a certificate other than its own
+        "bad_signature": sign_envelope(MsgKind.JOIN, scope, b.identity,
+                                       encode_join_payload(t, d.cert.der)),
+        "malformed_response": dataclasses.replace(
+            honest, payload=honest.payload[:-1]),
+        "malformed_response/cert": sign_envelope(
+            MsgKind.JOIN_RESPONSE, scope, b.identity,
+            encode_join_response_payload(t, [], [(2, b"\x30\x00")], 0)),
+        # one uid twice among the joiners
+        "bad_member_cert": view([], [(1, ca_), (2, cb), (2, cb)]),
+        # a participant re-joins under another certificate
+        "bad_member_cert/rejoin": view([(2, cb)], [(1, ca_), (2, cb2)]),
+        # the encoding lists b before a
+        "noncanonical_response": view([], [(1, cb), (2, ca_)]),
+        "unknown_responder": view([], [(1, ca_), (2, cb)], signer=d),
+        # b advertises a view it is not in
+        "foreign_responder": view([], [(1, ca_)]),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "malformed_join", "bad_signature", "malformed_response",
+    "malformed_response/cert", "bad_member_cert", "bad_member_cert/rejoin",
+    "noncanonical_response", "unknown_responder", "foreign_responder"])
+def test_malformed_control_input_dropped_before_verification(
+        make_drivers, member_factory, roots, tmp_path, verify_calls, case):
+    a, b = make_drivers([1, 2])
+    # a second root a trusts, to issue another certificate for uid 2
+    ca2 = CertificateAuthority.create(tmp_path / "ca2")
+    a.chains = ChainVerdicts([*roots, ca2.cert])
+    cb2 = PeerCertificate(ca2.issue(
+        [DomainUrn(group=a.scope.group, channel="*", id=2)],
+        ec.generate_private_key(ec.SECP256R1()).public_key()))
+    d = LocalIdentity(4, *member_factory(a.scope.group, ("*",), uid=4))
+    a.initiate_join(0.0)
+    deliver([a], b.initiate_join(0.0), 0.0)
+    env = forged_views(a, b, cb2, d)[case]
+    reason = case.split("/")[0]
+    before, stats = snapshot(a), dict(a.stats)
+    verify_calls.clear()
+    assert a.handle(decode_management(encode_management(env)), 0.01) == []
+    assert verify_calls == []
+    assert a.stats == {**stats, reason: stats.get(reason, 0) + 1}
+    assert snapshot(a) == before
+
+
+def test_round_with_a_bad_element_verified_then_dropped(make_drivers,
+                                                        verify_calls):
+    # a correctly signed round whose element is no curve point passes the
+    # signature gate and is dropped by the session
+    a, b, round1, t = agreeing_pair(make_drivers)
+    session, state, floor = a._session, a.state, a.floor
+    bad = sign_envelope(MsgKind.GKA_ROUND1, b.scope, b.identity,
+                        encode_gka_payload(2, 1, b"\x02" + b"\xff" * 32,
+                                           session.config.instance_id))
+    verify_calls.clear()
+    assert a.handle(bad, t) == []
+    assert len(verify_calls) == 1
+    assert session.stats == {"bad_element": 1}
+    assert a._session is session and len(session._z) == 1
+    assert a.state is state and a.floor == floor
+    # the genuine round is still taken
+    assert kinds(a.handle(round1, t)) == [MsgKind.GKA_ROUND2]

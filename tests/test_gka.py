@@ -3,6 +3,7 @@ passive followers, replay rejection, and failure modes."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from functools import reduce
@@ -11,9 +12,8 @@ import pytest
 
 from lcmsec.discovery import ChainVerdicts, DiscoveryDriver
 from lcmsec.ecgroup import P256, P256_ORDER
-from lcmsec.gka import (GkaPhase, GkaSession, JoinMode, KeyAgreeMode,
-                        LocalIdentity, RingConfig, build_join_ring,
-                        representative_uids)
+from lcmsec.gka import (GkaPhase, GkaSession, LocalIdentity, RingConfig,
+                        ring_order)
 from lcmsec.identity import LCMDomain
 from lcmsec.wire import (MsgKind, decode_management, encode_gka_payload,
                          encode_management, parse_gka_payload)
@@ -36,10 +36,8 @@ def make_members(member_factory):
 def keyagree_sessions(scope, members, d=1, seed=0, **kw):
     ordered = sorted(members, key=lambda m: m.uid)
     ring = [(m.uid, m.cert) for m in ordered]
-    return [GkaSession(RingConfig(scope=scope, participants=ring,
-                                  my_index=i, instance_id=d),
-                       m, rng=random.Random(seed * 100 + i),
-                       **kw)
+    config = RingConfig(scope, ring, d)
+    return [GkaSession(config, m, rng=random.Random(seed * 100 + i), **kw)
             for i, m in enumerate(ordered)]
 
 
@@ -92,7 +90,7 @@ def test_two_node_ring_degenerates(make_members):
     run_to_completion(sessions)
     for s in sessions:
         assert s._kl == s._kr          # both neighbors are the same node
-        assert s._y[s.config.my_index] is None   # ratio collapses to identity
+        assert s._y[s.index] is None   # ratio collapses to identity
         assert s.phase is GkaPhase.DONE
 
 
@@ -104,42 +102,51 @@ def test_telescoping_fold_is_identity(make_members):
     assert reduce(P256.op, ys) is None
 
 
-def test_nonsorted_keyagree_ring_rejected(make_members):
-    scope, members = make_members([1, 2, 3])
-    ring = [(m.uid, m.cert) for m in members]
-    ring[0], ring[1] = ring[1], ring[0]
-    with pytest.raises(ValueError):
-        RingConfig(scope=scope, participants=ring, my_index=0, instance_id=1)
+def test_ring_order_for_both_modes():
+    def order(p_uids, j_uids):
+        return [u for u, _ in ring_order([(u, None) for u in p_uids],
+                                         [(u, None) for u in j_uids])]
+    # a fresh ring runs in uid order, whatever order the view lists it in
+    assert order([], [7, 3, 9]) == [3, 7, 9]
+    # a join ring: representatives by uid, then the joiners by uid
+    assert order([9, 1, 7, 4, 2], [12, 11]) == [1, 2, 9, 11, 12]
+    assert order([6, 5], [8]) == [5, 6, 8]
 
 
 # ------------------------------------------------------------------- joins
 
 
-def join_setup(make_members, p_uids, j_uids, d=2):
-    scope, members = make_members(sorted(p_uids) + sorted(j_uids))
+def join_sessions(scope, members, p_uids, j_uids, d=2,
+                  previous_seed=b"\x5c" * 33, rng=None):
+    """Every member of one join over ``p_uids``, all given one config.
+
+    Returns the ring members in ring order and the incumbents outside the
+    ring; each session derives its own role from the config.
+    """
+    rng = rng or random.Random(d)
     by_uid = {m.uid: m for m in members}
-    previous_seed = b"\x5c" * 33
-    ring, reps = build_join_ring(
+    config = RingConfig(scope, ring_order(
         [(u, by_uid[u].cert) for u in p_uids],
-        [(u, by_uid[u].cert) for u in j_uids])
-    mode = JoinMode(previous_seed=previous_seed, representatives=reps)
-    ring_uids = [u for u, _ in ring]
-    actives = [GkaSession(RingConfig(scope=scope, participants=ring,
-                                     my_index=ring_uids.index(u),
-                                     instance_id=d, mode=mode),
-                          by_uid[u], rng=random.Random(u))
-               for u in ring_uids]
-    passives = [GkaSession(RingConfig(scope=scope, participants=ring,
-                                      my_index=0, instance_id=d, mode=mode),
-                           by_uid[u], passive=True)
-                for u in sorted(set(p_uids) - set(reps))]
-    return scope, actives, passives, reps
+        [(u, by_uid[u].cert) for u in j_uids]), d, previous_seed)
+    actives = [GkaSession(config, by_uid[u],
+                          rng=random.Random(rng.getrandbits(32)))
+               for u in config.uids]
+    passives = [GkaSession(config, by_uid[u])
+                for u in sorted(set(p_uids) - set(config.uids))]
+    assert not any(s.passive for s in actives)
+    assert all(s.passive and s.index == 0 for s in passives)
+    return actives, passives
+
+
+def join_setup(make_members, p_uids, j_uids):
+    scope, members = make_members(sorted(p_uids) + sorted(j_uids))
+    return (scope, *join_sessions(scope, members, p_uids, j_uids))
 
 
 def test_join_passive_equality(make_members):
     p_uids, j_uids = [1, 2, 4, 7, 9], [11, 12]
-    scope, actives, passives, reps = join_setup(make_members, p_uids, j_uids)
-    assert reps == (1, 2, 9)
+    scope, actives, passives = join_setup(make_members, p_uids, j_uids)
+    assert actives[0].config.uids == [1, 2, 9, 11, 12]
     transcript = run_to_completion(actives + passives)
     for s in actives + passives:
         assert s.phase is GkaPhase.DONE, s.failure_reason
@@ -150,34 +157,33 @@ def test_join_passive_equality(make_members):
 
 def test_transcript_contains_only_ring_uids(make_members):
     p_uids, j_uids = [1, 2, 4, 7, 9], [11, 12]
-    scope, actives, passives, reps = join_setup(make_members, p_uids, j_uids)
+    scope, actives, passives = join_setup(make_members, p_uids, j_uids)
     transcript = run_to_completion(actives + passives)
     senders = {parse_gka_payload(env.payload)[0] for env in transcript}
-    assert senders == set(reps) | set(j_uids)
-    assert len(senders) == len(j_uids) + 3
+    assert senders == {1, 2, 9} | set(j_uids)
 
 
 def test_join_two_incumbents_dedups_representatives(make_members):
-    scope, actives, passives, reps = join_setup(make_members, [5, 6], [8])
-    assert reps == (5, 6)
+    scope, actives, passives = join_setup(make_members, [5, 6], [8])
+    assert actives[0].config.uids == [5, 6, 8]
     assert passives == []
     run_to_completion(actives)
     assert all(s.phase is GkaPhase.DONE for s in actives)
 
 
 def test_representative_choice():
-    assert representative_uids([4]) == (4,)
-    assert representative_uids([4, 9]) == (4, 9)
-    assert representative_uids([4, 9, 12]) == (4, 9, 12)
-    assert representative_uids([4, 9, 12, 20, 33]) == (4, 9, 33)
+    def reps(p_uids):
+        return [u for u, _ in ring_order([(u, None) for u in p_uids], [])]
+    assert reps([4]) == [4]
+    assert reps([4, 9]) == [4, 9]
+    assert reps([4, 9, 12]) == [4, 9, 12]
+    assert reps([4, 9, 12, 20, 33]) == [4, 9, 33]
 
 
 def test_derived_round1_element_is_deterministic(make_members):
     scope, members = make_members([1, 2, 3])
     ring = [(m.uid, m.cert) for m in members]
-    mode = JoinMode(previous_seed=b"\x77" * 33, representatives=(1, 2))
-    cfg = RingConfig(scope=scope, participants=ring[:2] + ring[2:],
-                     my_index=0, instance_id=3, mode=mode)
+    cfg = RingConfig(scope, ring, 3, previous_seed=b"\x77" * 33)
     a = GkaSession(cfg, members[0])
     b = GkaSession(cfg, members[0])
     assert a._my_z == b._my_z
@@ -187,27 +193,31 @@ def test_derived_round1_element_is_deterministic(make_members):
 
 
 def test_passive_with_wrong_seed_fails(make_members):
-    scope, actives, passives, _ = join_setup(make_members, [1, 2, 4, 7, 9],
-                                             [11])
-    liar = GkaSession(
-        RingConfig(scope=scope, participants=actives[0].config.participants,
-                   my_index=0, instance_id=2,
-                   mode=JoinMode(previous_seed=b"\x00" * 33,
-                                 representatives=(1, 2, 9))),
-        passives[0].identity, passive=True)
+    scope, actives, passives = join_setup(make_members, [1, 2, 4, 7, 9],
+                                          [11])
+    liar = GkaSession(dataclasses.replace(actives[0].config,
+                                          previous_seed=b"\x00" * 33),
+                      passives[0].identity)
+    assert liar.passive
     run_to_completion(actives + [liar])
     assert liar.phase is GkaPhase.FAILED
     assert "previous seed" in liar.failure_reason
 
 
 def test_passive_must_simulate_first_representative(make_members):
-    scope, members = make_members([1, 2, 3])
-    ring = [(m.uid, m.cert) for m in members]
-    mode = JoinMode(previous_seed=b"\x11" * 33, representatives=(1, 2))
+    # an incumbent outside a join ring plays index 0, with the scalar the
+    # previous seed derives; a fresh ring has nobody outside it
+    scope, members = make_members([1, 2, 3, 4])
+    ring = [(m.uid, m.cert) for m in members[:3]]
+    join = RingConfig(scope, ring, 2, previous_seed=b"\x11" * 33)
+    follower = GkaSession(join, members[3])
+    rep = GkaSession(join, members[0], rng=random.Random(1))
+    assert follower.passive and follower.index == 0
+    assert follower._my_z == rep._my_z
+    assert follower.round1_uids == rep.round1_uids == {3, 1, 2}
+    assert follower.start(0.0) == [] and follower.sent == []
     with pytest.raises(ValueError):
-        GkaSession(RingConfig(scope=scope, participants=ring, my_index=1,
-                              instance_id=2, mode=mode),
-                   members[1], passive=True)
+        GkaSession(RingConfig(scope, ring, 2), members[3])
 
 
 # ------------------------------------------------------- replay and nonces
@@ -219,9 +229,8 @@ def test_replayed_transcript_cannot_touch_new_instance(make_members):
     old_transcript = run_to_completion(old_sessions)
     ordered = sorted(members, key=lambda m: m.uid)
     ring = [(m.uid, m.cert) for m in ordered]
-    new_sessions = [GkaSession(RingConfig(scope=scope, participants=ring,
-                                          my_index=i, instance_id=2),
-                               m, rng=random.Random(50 + i))
+    config = RingConfig(scope, ring, 2)
+    new_sessions = [GkaSession(config, m, rng=random.Random(50 + i))
                     for i, m in enumerate(ordered)]
     for s in new_sessions:
         s.start(0.0)
@@ -292,9 +301,7 @@ def test_unknown_sender_dropped(make_members, member_factory):
     outsider = LocalIdentity(uid=40, cert=outsider_cert, key=outsider_key)
     ring = [(m.uid, m.cert) for m in sorted(members, key=lambda m: m.uid)]
     rogue_ring = sorted(ring + [(40, outsider_cert)], key=lambda p: p[0])
-    rogue = GkaSession(RingConfig(scope=scope, participants=rogue_ring,
-                                  my_index=2, instance_id=1),
-                       outsider)
+    rogue = GkaSession(RingConfig(scope, rogue_ring, 1), outsider)
     env = rogue.start(0.0)[0]
     assert hand_in(sessions[0], env, 0.0) == []
     assert sessions[0].stats["unknown_sender"] == 1
@@ -306,9 +313,7 @@ def test_wrong_instance_dropped(make_members):
     sessions[0].start(0.0)
     ordered = sorted(members, key=lambda m: m.uid)
     ring = [(m.uid, m.cert) for m in ordered]
-    future = GkaSession(RingConfig(scope=scope, participants=ring,
-                                   my_index=1, instance_id=7),
-                        ordered[1])
+    future = GkaSession(RingConfig(scope, ring, 7), ordered[1])
     env = future.start(0.0)[0]
     assert hand_in(sessions[0], env, 0.0) == []
     assert sessions[0].stats["wrong_instance"] == 1

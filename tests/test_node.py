@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import datetime
 import itertools
 import logging
 import random
@@ -10,15 +11,18 @@ import time
 from collections import Counter
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 
 from ivlog import IvLog
-from lcmsec import discovery, gka, session, wire
-from lcmsec.errors import CounterExhausted, NoKey
+from lcmsec import crypto, discovery, gka, session, wire
+from lcmsec.errors import CounterExhausted, NoKey, NotAuthorized
 from lcmsec.gka import LocalIdentity
+from lcmsec.identity import DomainUrn, PeerCertificate
 from lcmsec.node import LcmsecNode
 from lcmsec.transport import SimNet, SimRunner, UdpEndpoint, UdpRunner
 
 _group_counter = itertools.count(1)
+_MANAGEMENT_MAGIC = wire.MAGIC_MANAGEMENT.to_bytes(4, "big")
 
 
 def fresh_group() -> str:
@@ -449,6 +453,82 @@ def test_publish_before_ready_raises(make_cluster):
         nodes[0].publish("chatter", b"too soon", 0.0)
 
 
+def test_publish_respects_certificate(make_cluster, member_factory, roots):
+    # a channel key exists only for configured channels, and a node runs
+    # only with a grant for every channel it is configured with
+    group = fresh_group()
+    identities = []
+    for uid in (1, 2):
+        cert, key = member_factory(group, ("chatter",), uid=uid)
+        identities.append(LocalIdentity(uid, cert, key))
+    net, runner, nodes = make_cluster(2, group=group, identities=identities)
+    runner.start_all()
+    assert settle(runner, nodes)
+    assert nodes[0].publish("chatter", b"ok", net.now)
+    with pytest.raises(NoKey):
+        nodes[0].publish("forbidden", b"nope", net.now)
+    wider = LcmsecNode(identities[0], roots, group,
+                       ("chatter", "forbidden"), random.Random(1))
+    with pytest.raises(NotAuthorized):
+        wider.start(net.now)
+
+
+def test_ungranted_channel_refused_before_anything_is_sent(make_cluster,
+                                                           member_factory):
+    # node 2 holds a grant for "other" only but is configured with "news":
+    # it must refuse to start, not join the group and fail at its commit
+    group = fresh_group()
+    identities = []
+    for uid, channel in ((1, "*"), (2, "other")):
+        cert, key = member_factory(group, (channel,), uid=uid)
+        identities.append(LocalIdentity(uid, cert, key))
+    _, _, (a, b) = make_cluster(2, channels=("news",), group=group,
+                                identities=identities)
+    with pytest.raises(NotAuthorized):
+        b.start(0.0)
+    assert all(d.phase is discovery.Phase.IDLE for d in b.drivers.values())
+    assert b.next_wakeup() is None
+
+
+def test_own_certificate_lapsed_before_the_group_commit(make_cluster,
+                                                        member_factory, ca):
+    # b's certificate lapses after a holds b's round 2 but before b
+    # completes the group agreement: b commits the group, and its channel
+    # scope stays idle instead of raising out of the commit
+    group = fresh_group()
+    cert, key = member_factory(group, ("*",), uid=1)
+    key_b = ec.generate_private_key(ec.SECP256R1())
+    cert_b = PeerCertificate(ca.issue(
+        [DomainUrn(group=group, channel="*", id=2)], key_b.public_key(),
+        common_name="node-2", validity_days=2 / 86400))
+    _, _, (a, b) = make_cluster(2, group=group, identities=[
+        LocalIdentity(1, cert, key), LocalIdentity(2, cert_b, key_b)])
+    queue = [(a, dg) for dg in a.start(0.0)] + \
+        [(b, dg) for dg in b.start(0.0)]
+    held, now = [], 0.0
+    while a.group_seed is None:
+        assert now < 5.0, "a never committed"
+        while queue:
+            src, dg = queue.pop(0)
+            dst = b if src is a else a
+            if (src is a and wire.decode_management(dg).kind
+                    is wire.MsgKind.GKA_ROUND2):
+                held.append(dg)       # b completes only once it lapsed
+                continue
+            queue += [(dst, out) for out in dst.handle_datagram(dg, now)]
+        now = min(n.next_wakeup() for n in (a, b))
+        queue = [(n, out) for n in (a, b) for out in n.on_timer(now)]
+    assert b.group_seed is None and held
+    wait = cert_b.cert.not_valid_after_utc - datetime.datetime.now(
+        datetime.timezone.utc)
+    time.sleep(max(0.0, wait.total_seconds()) + 0.05)
+    out = b.handle_datagram(held[0], now)
+    assert b.group_seed == a.group_seed
+    assert out == []                   # no channel JOIN under a lapsed cert
+    assert b.drivers["chatter"].phase is discovery.Phase.IDLE
+    assert b.drivers["chatter"].stats["own_cert_expired"] == 1
+
+
 def test_foreign_scope_management_counted(make_cluster, member_factory,
                                           roots):
     net, runner, nodes = make_cluster(1)
@@ -470,6 +550,24 @@ def test_junk_datagrams_never_raise(make_cluster):
     rng = random.Random(4)
     for _ in range(50):
         node.handle_datagram(rng.randbytes(rng.randrange(0, 120)), 0.0)
+
+
+def test_malformed_management_datagram_counted(make_cluster, monkeypatch):
+    # a datagram with the management magic that does not decode is counted
+    # before any driver sees it, and costs no signature check
+    net, runner, (a, b) = make_cluster(2)
+    runner.start_all()
+    runner.run_until(0.1)
+    verified = []
+    monkeypatch.setattr(crypto, "verify",
+                        lambda *args: verified.append(args) or True)
+    before = [(d.phase, d.state, d.floor) for d in a.drivers.values()]
+    for junk in (b"", b"\x01" * 7, b"\xff" * 60):
+        assert a.handle_datagram(_MANAGEMENT_MAGIC + junk, net.now) == []
+    assert a.session.stats.drops == {"bad_management": 3}
+    assert verified == []
+    assert [(d.phase, d.state, d.floor)
+            for d in a.drivers.values()] == before
 
 
 def _run_once(make_cluster, identities, group, seed):

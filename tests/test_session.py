@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmsec.crypto import TAG_LEN, kdf_expand, key_context
-from lcmsec.errors import (BadName, CounterExhausted, NoKey, NotAuthorized,
-                           OversizeMessage)
+from lcmsec.errors import BadName, CounterExhausted, NoKey, OversizeMessage
 from lcmsec import session as session_module
 from lcmsec.session import KeyStore, ReplayWindow, SendCounter, Session
 from lcmsec.wire import encode_plain_lcm, peek_magic, try_unpack_secure, \
@@ -440,15 +439,6 @@ def test_publish_errors():
     s.install_group(material(SEED_A, "", 2), 1, now=0.0)   # re-key resets
     (d,) = s.publish("chatter", b"x")
     assert try_unpack_secure(d)[0] == 0
-
-
-def test_publish_respects_certificate(member_factory):
-    cert, _ = member_factory(GROUP, channels=("chatter",), uid=50)
-    s = make_session(channels=("chatter", "forbidden"),
-                     subscriptions=("chatter",), cert=cert)
-    assert s.publish("chatter", b"ok")
-    with pytest.raises(NotAuthorized):
-        s.publish("forbidden", b"nope")
 
 
 def test_receive_never_raises_on_junk():
