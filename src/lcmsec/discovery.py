@@ -29,9 +29,9 @@ authenticated view from another node lists it among the joiners.
 
 from __future__ import annotations
 
-import datetime
 import logging
 from dataclasses import dataclass, field, replace
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
 from hashlib import sha256
@@ -131,7 +131,7 @@ class CommitResult:
 
 
 class ChainVerdicts:
-    """Certificate chain checks shared by one node's drivers.
+    """Chain checks shared by one node's drivers, judged at the node's now.
 
     Chain validity does not depend on the scope, only the grant does, so one
     check per certificate serves the group and every channel; the node hands
@@ -143,16 +143,24 @@ class ChainVerdicts:
 
     def __init__(self, roots):
         self.roots = roots
-        self._until: dict[bytes, datetime.datetime] = {}
+        self._until: dict[bytes, float] = {}    # lapse, as a node's now
+        self._epoch: datetime | None = None     # UTC time at now == 0
 
-    def trusted(self, cert: PeerCertificate, now: datetime.datetime) -> bool:
+    def utc(self, now: float) -> datetime:
+        """UTC time at ``now``; the first call reads the wall clock once."""
+        if self._epoch is None:
+            self._epoch = datetime.now(timezone.utc) - timedelta(seconds=now)
+        return self._epoch + timedelta(seconds=now)
+
+    def trusted(self, cert: PeerCertificate, now: float) -> bool:
         until = self._until.get(cert.fingerprint)
         if until is None:
-            chain = verify_chain(cert, self.roots, now)
+            chain = verify_chain(cert, self.roots, self.utc(now))
             if not chain:
                 return False
-            until = self._until[cert.fingerprint] = min(
-                cert.cert.not_valid_after_utc, chain.root.not_valid_after_utc)
+            until = self._until[cert.fingerprint] = (min(
+                cert.cert.not_valid_after_utc, chain.root.not_valid_after_utc
+            ) - self._epoch).total_seconds()
         return now <= until
 
 
@@ -220,8 +228,8 @@ class DiscoveryDriver:
         if self.phase is not Phase.IDLE:
             return self._drop("join_while_active")
         try:
-            authorize(self.identity.cert, self.scope)   # NotAuthorized raises
-        except Expired:
+            authorize(self.identity.cert, self.scope, self.chains.utc(now))
+        except Expired:     # NotAuthorized raises to the caller
             # peers refuse a lapsed certificate, so announcing it would
             # only spend datagrams: the scope stays idle
             log.warning("%s/%s: own certificate expired, not joining",
@@ -243,13 +251,12 @@ class DiscoveryDriver:
             return self._drop("own_echo")
         if (env.group, env.channel) != (self.scope.group, self.scope.channel):
             return self._drop("wrong_scope")
-        wall = datetime.datetime.now(datetime.timezone.utc)
         if env.kind is MsgKind.JOIN:
-            out = self._handle_join(env, now, wall)
+            out = self._handle_join(env, now)
         elif env.kind is MsgKind.JOIN_RESPONSE:
-            out = self._handle_join_response(env, now, wall)
+            out = self._handle_join_response(env, now)
         else:
-            out = self._handle_gka(env, now, wall)
+            out = self._handle_gka(env, now)
         self._retrickle(now)
         return out
 
@@ -324,7 +331,7 @@ class DiscoveryDriver:
 
     # ------------------------------------------------------------- incoming
 
-    def _handle_join(self, env: ManagementEnvelope, now: float, wall
+    def _handle_join(self, env: ManagementEnvelope, now: float
                      ) -> list[ManagementEnvelope]:
         try:
             t_ms, der = parse_join_payload(env.payload)
@@ -333,7 +340,7 @@ class DiscoveryDriver:
             return self._drop("malformed_join")
         if env.signer_ref != cert.fingerprint:
             return self._drop("bad_signature")
-        uid = self._admit(cert, wall)
+        uid = self._admit(cert, now)
         if uid is None or uid == self.identity.uid:
             # own echoes were dropped as own_echo: another certificate
             # carrying this node's uid is foreign
@@ -366,8 +373,8 @@ class DiscoveryDriver:
             self._pending[uid] = (t_ms, cert)
             self._arm_response(now)
 
-    def _handle_join_response(self, env: ManagementEnvelope, now: float,
-                              wall) -> list[ManagementEnvelope]:
+    def _handle_join_response(self, env: ManagementEnvelope, now: float
+                              ) -> list[ManagementEnvelope]:
         try:
             t_ms, p_ders, j_ders, floor = parse_join_response_payload(
                 env.payload)
@@ -378,7 +385,7 @@ class DiscoveryDriver:
             # recording now so the next freeze picks an unused instance id
             signer = self._known.get(env.signer_ref)
             if floor > self.floor and signer is not None:
-                if self._admit(signer[1], wall) is None or \
+                if self._admit(signer[1], now) is None or \
                         not self._authentic(env, signer[1]):
                     return []       # _admit or the gate counted why
                 self.floor = floor
@@ -396,7 +403,7 @@ class DiscoveryDriver:
         joining: dict[int, PeerCertificate] = {}
         for certs, target in ((p_certs, participants), (j_certs, joining)):
             for cert in certs:
-                uid = self._admit(cert, wall)
+                uid = self._admit(cert, now)
                 if uid is None or uid in target:
                     return self._drop("bad_member_cert")
                 if (target is joining and uid in participants
@@ -455,7 +462,7 @@ class DiscoveryDriver:
         return (echo is not None and echo[0] is self.state
                 and echo[1] == self.floor)
 
-    def _handle_gka(self, env: ManagementEnvelope, now: float, wall
+    def _handle_gka(self, env: ManagementEnvelope, now: float
                     ) -> list[ManagementEnvelope]:
         known = self._known.get(env.signer_ref)
         if known is None:
@@ -487,7 +494,7 @@ class DiscoveryDriver:
             # an old round, or a round 1 of the running agreement that
             # this member's key never reads
             return self._drop("no_news")
-        if self._admit(known[1], wall) is None or \
+        if self._admit(known[1], now) is None or \
                 not self._authentic(env, known[1]):
             return []
         out: list[ManagementEnvelope] = []
@@ -530,7 +537,7 @@ class DiscoveryDriver:
         self.stats[reason] = self.stats.get(reason, 0) + 1
         return []
 
-    def _admit(self, cert: PeerCertificate, wall) -> int | None:
+    def _admit(self, cert: PeerCertificate, now: float) -> int | None:
         """Chain + permission check on every use; returns the uid.
 
         Chain verdicts come from the shared :class:`ChainVerdicts` and lapse
@@ -539,16 +546,16 @@ class DiscoveryDriver:
         """
         known = self._known.get(cert.fingerprint)
         if known is not None and (known[1] is self.identity.cert
-                                  or self.chains.trusted(cert, wall)):
+                                  or self.chains.trusted(cert, now)):
             return known[0]
         if cert.fingerprint in self._refused:
             self._drop("unauthorized_cert")
             return None
-        if not self.chains.trusted(cert, wall):
+        if not self.chains.trusted(cert, now):
             self._drop("untrusted_cert")
             return None
         try:
-            perm = authorize(cert, self.scope, wall)
+            perm = authorize(cert, self.scope, self.chains.utc(now))
         except (NotAuthorized, Expired) as exc:
             if isinstance(exc, NotAuthorized):
                 self._refused.add(cert.fingerprint)

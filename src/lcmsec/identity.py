@@ -156,15 +156,13 @@ class PeerCertificate:
 
 
 def authorize(cert: PeerCertificate, domain: LCMDomain,
-              now: datetime.datetime | None = None) -> Permission:
-    """Permission lookup; assumes the chain was already verified.
+              now: datetime.datetime) -> Permission:
+    """Permission lookup at ``now``; assumes the chain was already verified.
 
     The group scope is granted by any SAN in the group (whoever may use a
     channel must also take part in the group agreement). A concrete channel
     needs an exact SAN match or the ``*`` wildcard.
     """
-    if now is None:
-        now = datetime.datetime.now(datetime.timezone.utc)
     if not (cert.cert.not_valid_before_utc <= now
             <= cert.cert.not_valid_after_utc):
         raise Expired("certificate outside its validity window")
@@ -209,11 +207,9 @@ def _signed_by(cert: x509.Certificate, issuer: x509.Certificate) -> bool:
 
 
 def verify_chain(cert: PeerCertificate, roots: list[x509.Certificate],
-                 now: datetime.datetime | None = None) -> VerificationResult:
-    """Check that one of ``roots`` signed ``cert`` and that both are inside
-    their validity windows; members are issued by the root directly."""
-    if now is None:
-        now = datetime.datetime.now(datetime.timezone.utc)
+                 now: datetime.datetime) -> VerificationResult:
+    """Check that one of ``roots`` signed ``cert`` and that both are valid
+    at ``now``; members are issued by the root directly."""
     leaf = cert.cert
     if not leaf.not_valid_before_utc <= now <= leaf.not_valid_after_utc:
         return VerificationResult(False, "outside validity window")

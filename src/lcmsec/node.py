@@ -7,8 +7,9 @@ key from its unchanged seed under the new group agreement's seed and
 instance id (the counter reset would otherwise repeat IVs). Channel
 agreements run only when a member enters that channel; their commits
 install payload keys under the current group agreement. The node itself
-never touches a socket or a clock: datagrams and timestamps are handed in,
-and outbound datagrams are handed back.
+never touches a socket: datagrams and timestamps are handed in, and outbound
+datagrams are handed back. Timers and certificate expiry run on that ``now``,
+tied to UTC by one wall-clock reading at ``ChainVerdicts.utc``'s first call.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class LcmsecNode:
         certificate grants the group and every configured channel.
         """
         for driver in self.drivers.values():
-            authorize(self.identity.cert, driver.scope)
+            authorize(self.identity.cert, driver.scope, driver.chains.utc(now))
         return self._encode(self.drivers[""].initiate_join(now))
 
     @property

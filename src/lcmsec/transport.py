@@ -244,8 +244,8 @@ class UdpEndpoint:
 class UdpRunner:
     """Wall-clock loop pumping one node through a UdpEndpoint.
 
-    Timestamps come from time.time() so the discovery deadlines agree
-    between processes on one host.
+    Timestamps come from time.time(), which also decides certificate
+    validity, so the discovery deadlines agree between processes on one host.
     """
 
     def __init__(self, node, endpoint: UdpEndpoint):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
@@ -52,6 +53,26 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+#: one sleep this long fails a test not marked slow; certificate expiry and
+#: every protocol timer are reached by advancing ``now`` instead
+SLEEP_LIMIT = 0.1
+
+
+@pytest.fixture(autouse=True)
+def no_long_sleep(request, monkeypatch):
+    if request.node.get_closest_marker("slow"):
+        return
+    real = time.sleep
+
+    def guarded(seconds):
+        if seconds >= SLEEP_LIMIT:
+            pytest.fail(f"time.sleep({seconds}) in a test not marked slow; "
+                        f"advance the node's now instead")
+        real(seconds)
+
+    monkeypatch.setattr(time, "sleep", guarded)
+
+
 @pytest.fixture(scope="session")
 def ca(tmp_path_factory):
     return CertificateAuthority.create(tmp_path_factory.mktemp("ca"))
@@ -64,14 +85,17 @@ def roots(ca):
 
 @pytest.fixture(scope="session")
 def member_factory(ca):
-    """Issues one member credential: (PeerCertificate, private key)."""
+    """Issues one member credential: (PeerCertificate, private key),
+    valid for ``days`` from now."""
 
-    def make(group: str = GROUP, channels=("*",), uid: int | None = None):
+    def make(group: str = GROUP, channels=("*",), uid: int | None = None,
+             days: float = 365):
         key = ec.generate_private_key(ec.SECP256R1())
         if uid is None:
             uid = ca.next_id(group)
         urns = [DomainUrn(group=group, channel=c, id=uid) for c in channels]
-        cert = ca.issue(urns, key.public_key(), common_name=f"node-{uid}")
+        cert = ca.issue(urns, key.public_key(), common_name=f"node-{uid}",
+                        validity_days=days)
         return PeerCertificate(cert), key
 
     return make

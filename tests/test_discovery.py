@@ -8,7 +8,6 @@ import datetime
 import functools
 import itertools
 import random
-import time
 from collections import Counter
 
 import pytest
@@ -759,16 +758,19 @@ def test_altered_copy_is_verified_and_refused(make_drivers, verify_calls,
     assert snapshot(a) == before
 
 
-def test_expired_certificate_refused_on_every_use(make_drivers, ca, roots,
+def now_at(chains: ChainVerdicts, when: datetime.datetime) -> float:
+    """The ``now`` that stands for UTC time ``when`` on ``chains``' clock."""
+    return (when - chains.utc(0.0)).total_seconds()
+
+
+def test_expired_certificate_refused_on_every_use(make_drivers, roots,
+                                                  member_factory,
                                                   verify_calls):
-    # b's certificate expires within 2 s; a admitted it before that. The
-    # verdict lapses at not_valid_after (RFC 5280 4.1.2.5) even for
-    # byte-identical copies of messages a verified while it was valid.
+    # b's certificate expires a minute after issue; a admitted it before
+    # that. The verdict lapses at not_valid_after (RFC 5280 4.1.2.5) even
+    # for byte-identical copies of messages a verified while it was valid.
     a, c = make_drivers([1, 3])
-    key = ec.generate_private_key(ec.SECP256R1())
-    cert = PeerCertificate(ca.issue(
-        [DomainUrn(group=a.scope.group, channel="*", id=2)],
-        key.public_key(), common_name="node-2", validity_days=2 / 86400))
+    cert, key = member_factory(a.scope.group, ("*",), uid=2, days=60 / 86400)
     b = DiscoveryDriver(a.scope, LocalIdentity(2, cert, key),
                         ChainVerdicts(roots), random.Random(2))
     # a and b agree, and a holds b's round 1
@@ -782,40 +784,35 @@ def test_expired_certificate_refused_on_every_use(make_drivers, ca, roots,
     c.on_timer(c._response_at)
     assert c._pending == {}
 
-    wait = cert.cert.not_valid_after_utc - datetime.datetime.now(
-        datetime.timezone.utc)
-    time.sleep(max(0.0, wait.total_seconds()) + 0.05)
+    expiry = cert.cert.not_valid_after_utc
     verify_calls.clear()
     before = snapshot(a)
-    assert c.handle(join, 0.1) == []
+    assert c.handle(join, now_at(c.chains, expiry) + 0.01) == []
     assert c._pending == {} and c.stats["untrusted_cert"] == 1
-    assert a.handle(round1, t + 0.01) == []
+    assert a.handle(round1, now_at(a.chains, expiry) + 0.01) == []
     assert a.stats["untrusted_cert"] == 1
     assert snapshot(a) == before
     assert verify_calls == []
 
 
-def test_own_expired_certificate_leaves_the_scope_idle(make_drivers, ca):
+def test_own_expired_certificate_leaves_the_scope_idle(make_drivers,
+                                                      member_factory):
     # b's own certificate lapses while its agreement runs; when that
     # agreement times out, b must not raise out of its timer or announce
     # a JOIN its peers would refuse
     (a,) = make_drivers([1])
-    key = ec.generate_private_key(ec.SECP256R1())
-    cert = PeerCertificate(ca.issue(
-        [DomainUrn(group=a.scope.group, channel="*", id=2)],
-        key.public_key(), common_name="node-2", validity_days=2 / 86400))
+    cert, key = member_factory(a.scope.group, ("*",), uid=2, days=60 / 86400)
     b = DiscoveryDriver(a.scope, LocalIdentity(2, cert, key),
                         a.chains, random.Random(2))
     _, t = agree(a, b)
-    wait = cert.cert.not_valid_after_utc - datetime.datetime.now(
-        datetime.timezone.utc)
-    time.sleep(max(0.0, wait.total_seconds()) + 0.05)
-    assert b.on_timer(t + gka.ROUND_TIMEOUT + 0.01) == []
+    lapsed = now_at(b.chains, cert.cert.not_valid_after_utc) + 0.01
+    assert lapsed > t + gka.ROUND_TIMEOUT
+    assert b.on_timer(lapsed) == []
     assert b.phase is Phase.IDLE
     assert b.stats["agreements_failed"] == 1
     assert b.stats["own_cert_expired"] == 1
     assert b.next_wakeup() is None
-    assert b.on_timer(t + 10.0) == []
+    assert b.on_timer(lapsed + 10.0) == []
 
 
 def test_floor_candidate_counts_one_drop_reason(make_drivers, verify_calls):
@@ -1054,6 +1051,14 @@ def signed_join(scope, cert, key, t_ms):
         signature=crypto.sign(region, key))
 
 
+def verdicts_from_now(roots) -> ChainVerdicts:
+    """Chain verdicts whose ``now`` 0.0 is the present, checking nothing yet;
+    a node's clock is tied to UTC at its first certificate check."""
+    chains = ChainVerdicts(roots)
+    chains.utc(0.0)
+    return chains
+
+
 def test_chain_verdict_outlives_a_root_that_did_not_sign(tmp_path):
     # a store that keeps the old root through a rotation: the old root
     # lapsing ends trust in what it signed, not in the new root's members
@@ -1067,17 +1072,16 @@ def test_chain_verdict_outlives_a_root_that_did_not_sign(tmp_path):
             [DomainUrn(group=group, channel="*", id=uid)], key.public_key()))
 
     kept, lapsed = member(new, 1), member(old, 2)
-    now = datetime.datetime.now(datetime.timezone.utc)
-    later = old.cert.not_valid_after_utc + datetime.timedelta(seconds=1)
     chains = ChainVerdicts([old.cert, new.cert])
-    assert chains.trusted(kept, now) and chains.trusted(lapsed, now)
+    assert chains.trusted(kept, 0.0) and chains.trusted(lapsed, 0.0)
+    later = now_at(chains, old.cert.not_valid_after_utc) + 1
     assert chains.trusted(kept, later)
     assert not chains.trusted(lapsed, later)
-    assert ChainVerdicts([old.cert, new.cert]).trusted(kept, later)
+    assert verdicts_from_now([old.cert, new.cert]).trusted(kept, later)
     # the member's own expiry still ends it
-    expired = kept.cert.not_valid_after_utc + datetime.timedelta(seconds=1)
+    expired = now_at(chains, kept.cert.not_valid_after_utc) + 1
     assert not chains.trusted(kept, expired)
-    assert not ChainVerdicts([old.cert, new.cert]).trusted(kept, expired)
+    assert not verdicts_from_now([old.cert, new.cert]).trusted(kept, expired)
 
 
 def test_refused_certificate_chain_checked_once(make_drivers, member_factory,
@@ -1144,18 +1148,17 @@ def test_chain_verdict_never_outlives_the_certificate(member_factory, roots,
     cert, _ = member_factory(f"239.77.{next(_group_counter)}.1:7667",
                              ("*",), 1)
     chains = ChainVerdicts(roots)
-    expiry = cert.cert.not_valid_after_utc
-    assert chains.trusted(cert, datetime.datetime.now(datetime.timezone.utc))
+    assert chains.trusted(cert, 0.0)
+    expiry = now_at(chains, cert.cert.not_valid_after_utc)
     assert chains.trusted(cert, expiry)
     assert len(chain_calls) == 1
     # past its not_valid_after the kept verdict lapses: it fails on every
     # use, with no second chain check
-    assert not chains.trusted(cert, expiry + datetime.timedelta(seconds=1))
-    assert not chains.trusted(cert, expiry + datetime.timedelta(seconds=2))
+    assert not chains.trusted(cert, expiry + 1)
+    assert not chains.trusted(cert, expiry + 2)
     assert len(chain_calls) == 1
     # a node that never checked it refuses it too
-    assert not ChainVerdicts(roots).trusted(
-        cert, expiry + datetime.timedelta(seconds=1))
+    assert not verdicts_from_now(roots).trusted(cert, expiry + 1)
     assert len(chain_calls) == 2
 
 

@@ -19,6 +19,11 @@ from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
 UTC = datetime.timezone.utc
 GROUP = "239.255.76.67:7667"
 
+
+def present() -> datetime.datetime:
+    return datetime.datetime.now(UTC)
+
+
 # ---------------------------------------------------------------- URN grammar
 
 
@@ -85,23 +90,23 @@ def test_constructor_validates():
 
 def test_authorize_exact_and_wildcard(member_factory):
     cert, _ = member_factory(GROUP, channels=("chatter",), uid=5)
-    perm = authorize(cert, LCMDomain(GROUP, "chatter"))
+    perm = authorize(cert, LCMDomain(GROUP, "chatter"), present())
     assert perm.uid == 5
     with pytest.raises(NotAuthorized):
-        authorize(cert, LCMDomain(GROUP, "other"))
+        authorize(cert, LCMDomain(GROUP, "other"), present())
     wild, _ = member_factory(GROUP, channels=("*",), uid=6)
-    assert authorize(wild, LCMDomain(GROUP, "anything")).uid == 6
+    assert authorize(wild, LCMDomain(GROUP, "anything"), present()).uid == 6
 
 
 def test_authorize_group_scope_from_any_san(member_factory):
     cert, _ = member_factory(GROUP, channels=("chatter",), uid=7)
-    assert authorize(cert, LCMDomain(GROUP, "")).uid == 7
+    assert authorize(cert, LCMDomain(GROUP, ""), present()).uid == 7
 
 
 def test_authorize_wrong_group(member_factory):
     cert, _ = member_factory("10.0.0.1:1234", channels=("*",), uid=1)
     with pytest.raises(NotAuthorized):
-        authorize(cert, LCMDomain(GROUP, "chatter"))
+        authorize(cert, LCMDomain(GROUP, "chatter"), present())
 
 
 def test_authorize_expired(member_factory):
@@ -180,7 +185,7 @@ def test_multiple_sans_round_trip(tmp_path):
 
 def test_chain_to_root(member_factory, roots):
     cert, _ = member_factory(GROUP, channels=("*",))
-    result = verify_chain(cert, roots)
+    result = verify_chain(cert, roots, present())
     assert result
     assert "root" in result.reason
 
@@ -205,7 +210,7 @@ def test_self_issued_rejected(roots):
                 [x509.UniformResourceIdentifier("urn:lcmsec:g:*:1")]),
                 critical=False)
             .sign(key, hashes.SHA256()))
-    result = verify_chain(PeerCertificate(cert), roots)
+    result = verify_chain(PeerCertificate(cert), roots, present())
     assert not result
 
 
@@ -214,7 +219,7 @@ def test_foreign_root_rejected(tmp_path, roots):
     key = ec.generate_private_key(ec.SECP256R1())
     cert = PeerCertificate(other.issue(
         [DomainUrn(group="g", channel="*", id=1)], key.public_key()))
-    result = verify_chain(cert, roots)
+    result = verify_chain(cert, roots, present())
     assert not result
     assert "root" in result.reason
 

@@ -11,11 +11,14 @@ import time
 from collections import Counter
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import NameOID
 
 from ivlog import IvLog
 from lcmsec import crypto, discovery, gka, session, wire
-from lcmsec.errors import CounterExhausted, NoKey, NotAuthorized
+from lcmsec.errors import CounterExhausted, Expired, NoKey, NotAuthorized
 from lcmsec.gka import LocalIdentity
 from lcmsec.identity import DomainUrn, PeerCertificate
 from lcmsec.node import LcmsecNode
@@ -490,17 +493,41 @@ def test_ungranted_channel_refused_before_anything_is_sent(make_cluster,
     assert b.next_wakeup() is None
 
 
+def test_start_refuses_a_lapsed_own_certificate(make_cluster, ca):
+    # the authority issues no window that ended already, so this certificate
+    # is built here and signed with the authority's key
+    group = fresh_group()
+    key = ec.generate_private_key(ec.SECP256R1())
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (x509.CertificateBuilder()
+            .subject_name(x509.Name([x509.NameAttribute(
+                NameOID.COMMON_NAME, "node-1")]))
+            .issuer_name(ca.cert.subject)
+            .public_key(key.public_key())
+            .serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(days=2))
+            .not_valid_after(now - datetime.timedelta(days=1))
+            .add_extension(x509.SubjectAlternativeName(
+                [x509.UniformResourceIdentifier(
+                    DomainUrn(group=group, channel="*", id=1).serialize())]),
+                critical=False)
+            .sign(ca.key, hashes.SHA256()))
+    _, _, (node,) = make_cluster(1, group=group, identities=[
+        LocalIdentity(1, PeerCertificate(cert), key)])
+    with pytest.raises(Expired):
+        node.start(0.0)
+    assert all(d.phase is discovery.Phase.IDLE for d in node.drivers.values())
+    assert node.next_wakeup() is None
+
+
 def test_own_certificate_lapsed_before_the_group_commit(make_cluster,
-                                                        member_factory, ca):
+                                                        member_factory):
     # b's certificate lapses after a holds b's round 2 but before b
     # completes the group agreement: b commits the group, and its channel
     # scope stays idle instead of raising out of the commit
     group = fresh_group()
     cert, key = member_factory(group, ("*",), uid=1)
-    key_b = ec.generate_private_key(ec.SECP256R1())
-    cert_b = PeerCertificate(ca.issue(
-        [DomainUrn(group=group, channel="*", id=2)], key_b.public_key(),
-        common_name="node-2", validity_days=2 / 86400))
+    cert_b, key_b = member_factory(group, ("*",), uid=2, days=60 / 86400)
     _, _, (a, b) = make_cluster(2, group=group, identities=[
         LocalIdentity(1, cert, key), LocalIdentity(2, cert_b, key_b)])
     queue = [(a, dg) for dg in a.start(0.0)] + \
@@ -519,14 +546,38 @@ def test_own_certificate_lapsed_before_the_group_commit(make_cluster,
         now = min(n.next_wakeup() for n in (a, b))
         queue = [(n, out) for n in (a, b) for out in n.on_timer(now)]
     assert b.group_seed is None and held
-    wait = cert_b.cert.not_valid_after_utc - datetime.datetime.now(
-        datetime.timezone.utc)
-    time.sleep(max(0.0, wait.total_seconds()) + 0.05)
-    out = b.handle_datagram(held[0], now)
+    lapsed = (cert_b.cert.not_valid_after_utc
+              - b.drivers[""].chains.utc(0.0)).total_seconds() + 0.01
+    out = b.handle_datagram(held[0], lapsed)
     assert b.group_seed == a.group_seed
     assert out == []                   # no channel JOIN under a lapsed cert
     assert b.drivers["chatter"].phase is discovery.Phase.IDLE
     assert b.drivers["chatter"].stats["own_cert_expired"] == 1
+
+
+def test_member_certificate_lapses_in_a_running_group(make_cluster,
+                                                      member_factory):
+    # node 4's certificate lapses in virtual time while the group runs: the
+    # next re-key leaves it out, and it does not announce itself again
+    group = fresh_group()
+    identities = []
+    for uid, days in ((1, 365), (2, 365), (3, 365), (4, 3 / 86400)):
+        cert, key = member_factory(group, ("*",), uid=uid, days=days)
+        identities.append(LocalIdentity(uid, cert, key))
+    net, runner, nodes = make_cluster(4, group=group, identities=identities)
+    runner.start_all()
+    assert settle(runner, nodes, t_max=2.0)
+    old = nodes[0].group_seed
+    runner.run_until(4.0)
+    nodes[0].drivers[""].force_rekey(net.now)
+    rest, lapsed = nodes[:3], nodes[3]
+
+    def rekeyed():
+        seeds = {n.group_seed for n in rest}
+        return len(seeds) == 1 and seeds.isdisjoint({old, lapsed.group_seed})
+
+    assert runner.run_while(lambda: not rekeyed(), net.now + 10.0)
+    assert lapsed.drivers[""].stats["own_cert_expired"] == 1
 
 
 def test_foreign_scope_management_counted(make_cluster, member_factory,
