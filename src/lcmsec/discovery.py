@@ -1,9 +1,16 @@
 """Leaderless discovery consensus driving the ring agreements.
 
 Nodes announce themselves with signed JOIN messages carrying a deadline t.
-Members answer after a short random delay with their whole view D = (P, J, t)
-and everyone keeps the maximum view under a total order that prefers more
-participants, then more joiners, then the earliest deadline. At the deadline
+A JOIN is answered with the whole view D = (P, J, t), and everyone keeps the
+maximum view under a total order that prefers more participants, then more
+joiners, then the earliest deadline. A gathering without committed
+participants, such as a cold start, answers after a short random delay from
+every member. A committed group answers through the join's representatives
+alone, the three incumbents :func:`gka.ring_order` puts first in the ring, one
+slot apart in rank order; the other incumbents fold the JOIN into their view
+in silence. A representative skips its answer once an authenticated view from
+another member lists the joiner, and answers again when the joiner
+re-announces, as SRM schedules who repairs a loss. At the deadline
 the view freezes and the key agreement runs over it; on success the joiners
 become participants, on failure everything resets and discovery restarts.
 
@@ -11,6 +18,8 @@ Each agreement run gets a fresh instance id: one more than the driver's
 floor, the highest id this node has attempted or seen advertised. Responses
 gossip the floor, and verified agreement traffic with a newer id pulls
 stragglers forward, so replayed runs can never be mistaken for current ones.
+A committed member that sees a co-member's round of a newer id missed that
+gathering, and joins again rather than keep a seed the group has left.
 
 The driver is the node's only signature check for control traffic, and it
 checks only messages that could change something. Every cheap check runs
@@ -23,8 +32,9 @@ Periodic resends stop once a peer has shown it holds what they carry, as
 in Trickle (RFC 6206). A gathering node gossips its view at a pace that
 doubles while its view and floor hold and drops back on any change. It
 skips a gossip tick after another node sent it an authenticated copy of
-its own view and floor, and a joining node stops re-announcing once an
-authenticated view from another node lists it among the joiners.
+its own view and floor, and a representative's answer counts as its own
+tick. A joining node stops re-announcing once an authenticated view from
+another node lists it among the joiners.
 """
 
 from __future__ import annotations
@@ -58,6 +68,11 @@ EPSILON_MAX = 0.050
 #: members answer JOINs after a random delay in this range (seconds)
 RESPONSE_DELAY_MIN = 0.010
 RESPONSE_DELAY_MAX = 0.100
+#: a committed group's join representatives answer RESPONSE_DELAY_MIN plus
+#: their rank times this after the JOIN; longer than a one-way delay (25 +/-
+#: 5 ms on the simulator), so a lower rank's answer usually arrives first
+#: and the next rank skips its own
+RESPONSE_SLOT = 0.040
 #: short enough for two or three re-announcements inside one gathering
 #: window, so a lost JOIN still enters every view before it freezes
 JOIN_REBROADCAST = 0.200
@@ -213,6 +228,9 @@ class DiscoveryDriver:
         self._gossip_interval = VIEW_GOSSIP
         #: (view, floor) when the gossip timer was last armed
         self._gossip_view: tuple[DiscoveryState, int] | None = None
+        #: joiners an authenticated view from another member listed since
+        #: their last JOIN, commit or restart; representatives skip them
+        self._answered: set[int] = set()
         #: (view, floor) another node sent authenticated since the last
         #: gossip tick; the next tick is skipped while they are still ours
         self._echo: tuple[DiscoveryState, int] | None = None
@@ -361,6 +379,8 @@ class DiscoveryDriver:
             # the round deadline; its re-announcements rebuild the view.
             out = self._restart(
                 "ring member abandoned the running agreement", now)
+        # a JOIN heard again means the joiner missed every answer so far
+        self._answered.discard(uid)
         self._note_pending(uid, t_ms, cert, now)
         return out
 
@@ -429,14 +449,18 @@ class DiscoveryDriver:
         floor_now = self.floor
         if merged is self.state and floor <= floor_now:
             # an equal view and floor is news only to the gossip timer,
-            # and one verified copy per tick is enough to skip that tick
-            if (self.phase is not Phase.GATHERING or floor != floor_now
-                    or self._echoed() or compare(incoming, self.state) != 0):
+            # and one verified copy per tick is enough to skip that tick;
+            # a view listing a joiner this node waits to answer is news to
+            # that answer
+            echo = (self.phase is Phase.GATHERING and floor == floor_now
+                    and not self._echoed()
+                    and compare(incoming, self.state) == 0)
+            if not echo and not self._answered_by(incoming, signer[0]):
                 return self._drop("no_news")
             if not self._authentic(env, listed):
                 return []
-            self._note_view(incoming, floor)
-            return self._drop("view_echo")
+            self._note_view(incoming, floor, signer[0])
+            return self._drop("view_echo" if echo else "answer_heard")
         if not self._authentic(env, listed):
             return []
         self.floor = max(floor_now, floor)
@@ -447,15 +471,25 @@ class DiscoveryDriver:
                 # a re-key is gathering, with or without joiners: freeze
                 # with it, or it runs without this member and fails
                 self._gather(now)
-        self._note_view(incoming, floor)
+        self._note_view(incoming, floor, signer[0])
         return []
 
-    def _note_view(self, view: DiscoveryState, floor: int) -> None:
-        """Another node's authenticated view: what it shows it holds."""
+    def _note_view(self, view: DiscoveryState, floor: int,
+                   signer: int) -> None:
+        """The authenticated view of ``signer``: what it shows it holds."""
         if self.identity.uid in view.joining:
             self._join_resend_at = None     # our JOIN has been heard
+        # a joiner's own view shows nothing about whether it was answered
+        self._answered.update(u for u in view.joining if u != signer)
         if floor == self.floor and compare(view, self.state) == 0:
             self._echo = (self.state, floor)
+
+    def _answered_by(self, view: DiscoveryState, signer: int) -> bool:
+        """Whether ``view`` from ``signer`` answers a joiner this node, as
+        a representative, waits to answer."""
+        return self._ranked() and any(
+            u != signer and u in view.joining and u not in self._answered
+            for u in self._pending)
 
     def _echoed(self) -> bool:
         echo = self._echo
@@ -490,9 +524,12 @@ class DiscoveryDriver:
                 (instance <= floor and not running)
                 or (running and round_no == 1
                     and uid not in session.round1_uids
-                    and uid in session.config.uids)):
-            # an old round, or a round 1 of the running agreement that
-            # this member's key never reads
+                    and uid in session.config.uids)
+                or (running and session.holds_simulated(uid, round_no,
+                                                        element))):
+            # an old round, a round 1 of the running agreement that this
+            # member's key never reads, or a passive follower's copy of
+            # the element it derived for the representative it simulates
             return self._drop("no_news")
         if self._admit(known[1], now) is None or \
                 not self._authentic(env, known[1]):
@@ -507,6 +544,13 @@ class DiscoveryDriver:
             if self.phase is Phase.GATHERING and round_no == 1 and present:
                 # a co-member already reached its deadline: freeze with it
                 out.extend(self._freeze(now, instance))
+            elif self.phase is Phase.COMMITTED and \
+                    uid in self.state.participants:
+                # a co-member runs an agreement whose gathering this member
+                # never heard: it cannot follow without the view, and would
+                # keep a seed the group has left, so it joins again
+                self.floor = instance
+                return self._restart("missed a co-member's gathering", now)
             self.floor = instance
         if self.phase is Phase.AGREEING:
             session = self._session
@@ -612,15 +656,15 @@ class DiscoveryDriver:
         self._join_resend_at = now + JOIN_REBROADCAST
         return [self._join_env]
 
-    def _flush_response(self, now: float) -> list[ManagementEnvelope]:
+    def _fold_pending(self, now: float) -> bool:
+        """Take the pending JOINs into the view; True if one was news."""
         # a join from a listed participant is news too: it means that node
         # missed the agreement (or restarted) and needs a ring slot of its
         # own, since without the current seed it cannot follow passively
         fresh = {uid: tc for uid, tc in self._pending.items()
                  if uid not in self.state.joining}
-        self._pending.clear()
         if not fresh:
-            return []
+            return False
         joining = dict(self.state.joining)
         t_ms = self.state.t_ms
         for uid, (t, cert) in fresh.items():
@@ -630,6 +674,22 @@ class DiscoveryDriver:
                                     joining=joining, t_ms=t_ms)
         if self.phase is Phase.COMMITTED:
             self._gather(now)
+        return True
+
+    def _flush_response(self, now: float) -> list[ManagementEnvelope]:
+        """Fold the pending JOINs in and answer them, if this node is one
+        to answer."""
+        reps = self._representatives()
+        fresh = self._fold_pending(now)
+        pending, self._pending = self._pending, {}
+        if reps is None:
+            return [self._view_response()] if fresh else []
+        if self.identity.uid not in reps or pending.keys() <= self._answered:
+            return []
+        # the answer is this node's gossip tick: Trickle counts a node's
+        # own transmissions, so the next tick comes at the doubled interval
+        self._retrickle(now)
+        self._arm_gossip(now, min(2 * self._gossip_interval, VIEW_GOSSIP_MAX))
         return [self._view_response()]
 
     def _view_response(self) -> ManagementEnvelope:
@@ -646,11 +706,44 @@ class DiscoveryDriver:
         self.phase = Phase.GATHERING
         self._arm_gossip(now)
 
+    def _ranked(self) -> bool:
+        """Whether this node answers JOINs by rank: it is a committed
+        participant of its view, not joining again. A cold start, or a
+        view merged after a restart, answers at random."""
+        uid = self.identity.uid
+        return uid in self.state.participants and \
+            uid not in self.state.joining
+
+    def _representatives(self) -> list[int] | None:
+        """The uids that answer the pending JOINs, in rank order: the
+        representatives the join ring starts with; None unless ranked."""
+        if not self._ranked():
+            return None
+        joining = self.state.joining.keys() | self._pending.keys()
+        core = [(u, c) for u, c in self.state.participants.items()
+                if u not in joining]
+        return [u for u, _ in ring_order(core, ())]
+
     def _arm_response(self, now: float) -> None:
-        """Answer the pending JOINs after a random delay, once."""
-        if self._pending and self._response_at is None:
-            self._response_at = now + self.rng.uniform(RESPONSE_DELAY_MIN,
-                                                       RESPONSE_DELAY_MAX)
+        """Answer the pending JOINs once: after a random delay, or in a
+        committed group at a representative's slot."""
+        reps = self._representatives()
+        if reps is None:
+            if self._pending and self._response_at is None:
+                self._response_at = now + self.rng.uniform(
+                    RESPONSE_DELAY_MIN, RESPONSE_DELAY_MAX)
+            return
+        if self.phase is Phase.AGREEING:
+            return              # the commit re-arms what is still pending
+        # a committed member takes the JOINs in at once; only the answer
+        # waits, and only a representative keeps them for it
+        self._fold_pending(now)
+        uid = self.identity.uid
+        if uid not in reps:
+            self._pending.clear()
+        elif self._pending and self._response_at is None:
+            self._response_at = now + RESPONSE_DELAY_MIN + \
+                RESPONSE_SLOT * reps.index(uid)
 
     def _arm_gossip(self, now: float, interval: float = VIEW_GOSSIP
                     ) -> None:
@@ -730,6 +823,7 @@ class DiscoveryDriver:
             # joins satisfied by this commit are done; the rest re-arm
             self._pending = {u: tc for u, tc in self._pending.items()
                              if u not in members}
+            self._answered.clear()
             self._arm_response(now)
             return []
         if session.phase is GkaPhase.FAILED:
@@ -747,6 +841,7 @@ class DiscoveryDriver:
         self._session = None
         self._frozen = None
         self._pending.clear()
+        self._answered.clear()
         self._response_at = None
         self.state = DiscoveryState()
         self.phase = Phase.IDLE

@@ -124,7 +124,9 @@ class GkaSession:
     the ring member the payload names. ``sent`` holds the rounds this
     member broadcast, in order. A member's key reads only the round 1 of
     the members in ``round1_uids``; the session drops the rest unparsed,
-    and so does the driver, before their signature checks.
+    and so does the driver, before their signature checks. The driver
+    also drops a passive follower's copy of a round it already holds for
+    the representative it simulates (:meth:`holds_simulated`).
     """
 
     def __init__(self, config: RingConfig, identity: LocalIdentity, *,
@@ -220,6 +222,16 @@ class GkaSession:
         out = self._advance(now)
         self._maybe_complete()
         return out
+
+    def holds_simulated(self, uid: int, round_no: int,
+                        element_raw: bytes) -> bool:
+        """Whether this passive follower already holds ``element_raw`` as
+        the round ``round_no`` element of ``uid``, the representative it
+        simulates; such a copy tells it nothing."""
+        if not self.passive or self._index_of.get(uid) != self.index:
+            return False
+        element = (self._z if round_no == 1 else self._y).get(self.index)
+        return element is not None and P256.serialize(element) == element_raw
 
     def on_timer(self, now: float) -> list[ManagementEnvelope]:
         if self.phase in (GkaPhase.DONE, GkaPhase.FAILED, GkaPhase.INIT):

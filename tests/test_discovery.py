@@ -971,7 +971,9 @@ def test_view_gossip_doubles_while_the_view_holds(make_drivers,
                                                   member_factory, channel):
     # Trickle (RFC 6206): a gathering gossips its view at VIEW_GOSSIP, and
     # the interval doubles after every tick at which view and floor held,
-    # up to VIEW_GOSSIP_MAX; a changed floor or view drops it back at once
+    # up to VIEW_GOSSIP_MAX; a changed floor or view drops it back at once.
+    # Driver a answers each JOIN as the join's first representative, and
+    # that answer counts as its tick
     a, b = make_drivers([1, 2], channel=channel)
     t = run_network([a, b])
     base, cap = discovery.VIEW_GOSSIP, discovery.VIEW_GOSSIP_MAX
@@ -989,7 +991,7 @@ def test_view_gossip_doubles_while_the_view_holds(make_drivers,
     start = join(3, t)
     assert a.phase is Phase.GATHERING
     times, sent = gossip_ticks(a, start, 5)
-    assert_paced(start, times, [base, 2 * base, cap, cap, cap])
+    assert_paced(start, times, [2 * base, cap, cap, cap, cap])
     # b is committed and silent, so nothing echoes: every tick sends
     assert sent == {MsgKind.JOIN_RESPONSE: 5}
 
@@ -1005,7 +1007,7 @@ def test_view_gossip_doubles_while_the_view_holds(make_drivers,
     start = join(4, times[-1] + 0.05)
     assert set(a.state.joining) == {3, 4}
     times, sent = gossip_ticks(a, start, 3)
-    assert_paced(start, times, [base, 2 * base, cap])
+    assert_paced(start, times, [2 * base, cap, cap])
     assert sent == {MsgKind.JOIN_RESPONSE: 3}
 
 
@@ -1026,6 +1028,128 @@ def test_joiner_stops_announcing_once_a_view_lists_it(make_drivers):
     # a restart announces again, and keeps announcing until heard
     assert kinds(a._restart("test", now)) == [MsgKind.JOIN]
     assert MsgKind.JOIN in kinds(a.on_timer(now + 0.2))
+
+
+# ------------------------------------------- who answers a committed join
+
+
+def committed_join(make_drivers):
+    """Incumbents 1-5 committed, and a JOIN from 9 each of them holds;
+    returns (incumbents by uid, the joiner, the JOIN, its time). The join's
+    representatives are 1, 2 and 5."""
+    drivers = make_drivers([1, 2, 3, 4, 5], seed_base=61)
+    t = run_network(drivers) + 1.0
+    (joiner,) = make_drivers([9], group=drivers[0].scope.group,
+                             seed_base=62)
+    join = joiner.initiate_join(t)
+    deliver(drivers, join, t)
+    return {d.identity.uid: d for d in drivers}, joiner, join, t
+
+
+def answers(envs):
+    """The joiners each view in ``envs`` lists."""
+    return [sorted(PeerCertificate.from_der(der).uid_for_group(e.group)
+                   for der in parse_join_response_payload(e.payload)[2])
+            for e in envs if e.kind is MsgKind.JOIN_RESPONSE]
+
+
+def test_committed_group_answers_through_its_representatives(make_drivers):
+    inc, joiner, _, t = committed_join(make_drivers)
+    slot, first = discovery.RESPONSE_SLOT, discovery.RESPONSE_DELAY_MIN
+    assert {u: inc[u]._response_at - t for u in (1, 2, 5)} == \
+        pytest.approx({1: first, 2: first + slot, 5: first + 2 * slot})
+    # every incumbent took the JOIN in at once; only the answer waits, and
+    # the others have nothing to answer
+    assert all(d.phase is Phase.GATHERING and 9 in d.state.joining
+               for d in inc.values())
+    assert all(inc[u]._response_at is None and not inc[u]._pending
+               for u in (3, 4))
+    answer = inc[1].on_timer(inc[1]._response_at)
+    assert answers(answer) == [[9]]
+    deliver([joiner, inc[2], inc[5]], answer, t + first)
+    # the lower rank's answer reached the others before their slots
+    for u in (2, 5):
+        assert inc[u].on_timer(inc[u]._response_at) == []
+    assert joiner._join_resend_at is None
+
+
+def test_only_an_authentic_view_from_another_member_skips_an_answer(
+        make_drivers, verify_calls):
+    inc, joiner, _, t = committed_join(make_drivers)
+    answer = inc[1].on_timer(inc[1]._response_at)
+    forged = dataclasses.replace(
+        answer[0], signature=bytes(reversed(answer[0].signature)))
+    verify_calls.clear()
+    deliver([inc[2]], [forged], t + 0.03)
+    assert len(verify_calls) == 1 and inc[2].stats["bad_signature"] == 1
+    assert answers(inc[2].on_timer(inc[2]._response_at)) == [[9]]
+    # the joiner's own view lists it too, but shows nobody answered it
+    deliver([joiner], answer, t + 0.03)
+    echoes = inc[5].stats.get("view_echo", 0)
+    deliver([inc[5]], [joiner._view_response()], t + 0.04)
+    assert inc[5].stats["view_echo"] == echoes + 1
+    assert answers(inc[5].on_timer(inc[5]._response_at)) == [[9]]
+
+
+def test_join_announced_again_after_a_lost_answer_is_answered_again(
+        make_drivers):
+    inc, joiner, join, t = committed_join(make_drivers)
+    answer = inc[1].on_timer(inc[1]._response_at)
+    deliver([inc[u] for u in (2, 3, 4, 5)], answer, t + 0.03)   # lost to 9
+    for u in (2, 5):
+        assert inc[u].on_timer(inc[u]._response_at) == []
+    again = [e for e in joiner.on_timer(t + discovery.JOIN_REBROADCAST)
+             if e.kind is MsgKind.JOIN]
+    assert again == join
+    t += discovery.JOIN_REBROADCAST
+    deliver(list(inc.values()), again, t)
+    # answered at the first slot, not by a gossip tick
+    assert inc[1].next_wakeup() == inc[1]._response_at == pytest.approx(
+        t + discovery.RESPONSE_DELAY_MIN)
+    answer = inc[1].on_timer(inc[1]._response_at)
+    assert answers(answer) == [[9]]
+    deliver([joiner] + list(inc.values()), answer, t + 0.03)
+    assert joiner._join_resend_at is None
+    for u in (2, 5):
+        assert inc[u].on_timer(inc[u]._response_at) == []
+    everyone = list(inc.values()) + [joiner]
+    run_network(everyone, now=t + 0.03, join=False)
+    assert len({d.seed for d in everyone}) == 1
+
+
+def test_member_that_missed_a_join_rejoins_on_its_rounds(make_drivers,
+                                                        verify_calls):
+    # incumbent 3 hears neither the JOIN nor any view: it stays committed
+    # on the old seed until a co-member's round of the new instance shows
+    # it missed the gathering
+    drivers = make_drivers([1, 2, 3, 4, 5], seed_base=63)
+    t = run_network(drivers)
+    (joiner,) = make_drivers([9], group=drivers[0].scope.group,
+                             seed_base=64)
+    everyone = drivers + [joiner]
+    stale = drivers[2]
+    rest = [d for d in everyone if d is not stale]
+    deliver(rest, joiner.initiate_join(t), t)
+    round1 = {}
+    while not all(d.phase is Phase.AGREEING for d in rest):
+        t = min(w for w in (d.next_wakeup() for d in rest) if w is not None)
+        for d in rest:
+            for env in d.on_timer(t):
+                if env.kind is MsgKind.GKA_ROUND1:
+                    round1[d.identity.uid] = env
+                else:
+                    deliver(rest, [env], t)
+    assert stale.phase is Phase.COMMITTED and 9 not in stale.state.joining
+    verify_calls.clear()
+    rejoin = stale.handle(round1[1], t)
+    assert kinds(rejoin) == [MsgKind.JOIN]
+    assert len(verify_calls) == 1
+    assert stale.stats["agreements_failed"] == 1
+    assert stale.take_events()[-1] == (
+        "failed", "missed a co-member's gathering")
+    deliver(everyone, list(round1.values()) + rejoin, t)
+    run_network(everyone, now=t, join=False)
+    assert len({d.seed for d in everyone}) == 1
 
 
 @pytest.fixture
@@ -1240,23 +1364,53 @@ def test_passive_follower_checks_the_representative_it_simulates(
     before = snapshot(p)
     verify_calls.clear()
     decode_calls.clear()
+    no_news = p.stats.get("no_news", 0)
     assert p.handle(round1[5], t) == []
     assert verify_calls == [] and decode_calls == []
     assert snapshot(p) == before
-    # the simulated representative's round 1 is verified and compared
+    # the simulated representative's round 1 equals the element p derived
+    # from the previous seed: the copy tells p nothing and costs nothing
     assert p.handle(round1[1], t) == []
-    assert len(verify_calls) == 1 and len(decode_calls) == 1
+    assert verify_calls == [] and decode_calls == []
+    assert p.stats["no_news"] - no_news == 2
     assert snapshot(p) == before
+    # a copy that differs is verified and fails the agreement
     rep = incumbents[0]
     other = P256.exp(P256.generator, 12345)
     forged = sign_envelope(MsgKind.GKA_ROUND1, rep.scope, rep.identity,
                            encode_gka_payload(1, 1, P256.serialize(other),
                                               rep._session.config.instance_id))
     p.handle(forged, t)
-    assert len(verify_calls) == 2
+    assert len(verify_calls) == 1
     assert p.stats["agreements_failed"] == 1
     assert p.take_events()[-1] == (
         "failed", "representative traffic does not match the previous seed")
+
+
+def test_passive_follower_drops_the_simulated_round2_copy(
+        make_drivers, verify_calls, decode_calls):
+    # as above: incumbent 3 follows passively as representative 1, whose
+    # neighbours in the ring 1, 2, 5, 6 are joiner 6 and representative 2
+    incumbents = make_drivers([1, 2, 3, 4, 5])
+    t = run_network(incumbents)
+    (joiner,) = make_drivers([6], group=incumbents[0].scope.group)
+    deliver(incumbents + [joiner], joiner.initiate_join(t), t)
+    round1, t = freeze_holding_round1(incumbents + [joiner], t)
+    rep, p = incumbents[0], incumbents[2]
+    neighbours = [round1[2], round1[6]]
+    (round2,) = [e for env in neighbours for e in rep.handle(env, t)]
+    assert round2.kind is MsgKind.GKA_ROUND2
+    for env in neighbours:
+        p.handle(env, t)
+    verify_calls.clear()
+    decode_calls.clear()
+    no_news = p.stats.get("no_news", 0)
+    session = p._session
+    y = dict(session._y)
+    assert p.handle(round2, t) == []
+    assert verify_calls == [] and decode_calls == []
+    assert p.stats["no_news"] - no_news == 1
+    assert session._y == y and session.phase is gka.GkaPhase.R1_SENT
 
 
 def test_round1_from_a_member_missing_from_the_ring_restarts(

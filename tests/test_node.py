@@ -341,6 +341,69 @@ def test_join_into_twelve_sends_under_half_the_views(make_cluster,
     assert sent[wire.MsgKind.JOIN_RESPONSE] < 83 / 2
 
 
+def add_joiner(runner, nodes, member_factory, roots, uid, seed=0):
+    """A node granted ch0 only, started into the running group."""
+    group = nodes[0].group
+    cert, key = member_factory(group, ("ch0",), uid=uid)
+    node = LcmsecNode(LocalIdentity(uid, cert, key), roots, group, ("ch0",),
+                      random.Random(seed * 1000 + uid))
+    ep = runner.add(node)
+    for out in node.start(runner.net.now):
+        ep.send(out)
+    return node
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_committed_group_answers_a_join_once_per_scope(
+        make_cluster, member_factory, roots, n):
+    # every incumbent used to answer the same JOIN when its random delay
+    # ran out before the first answer reached it: 4.8 + 5.7 views per join
+    # at N = 12 and 10 + 13.3 at N = 40 (group + channel scope). Only the
+    # join's representatives, incumbents 1, 2 and n, answer now, one slot
+    # apart, and each skips its answer once it heard an earlier one.
+    net, runner, nodes = make_cluster(n, channels=("ch0",), seed=3,
+                                      delay_mu=0.025, delay_sigma=0.005)
+    runner.start_all()
+    assert settle(runner, nodes)
+    sent = []
+    net.taps.append(
+        lambda _, dg: sent.append(wire.decode_management(dg))
+        if wire.peek_magic(dg) == wire.MAGIC_MANAGEMENT else None)
+    late = add_joiner(runner, nodes, member_factory, roots, n + 1, seed=3)
+    everyone = nodes + [late]
+    assert settle(runner, everyone, t_max=net.now + 30.0)
+    runner.run_until(net.now + 1.0)     # a late answer would land here
+    assert len({nd.group_seed for nd in everyone}) == 1
+    assert len({nd.channel_seed("ch0") for nd in everyone}) == 1
+    uid_of = {nd.identity.cert.fingerprint: nd.identity.uid
+              for nd in everyone}
+    for scope in ("", "ch0"):
+        kinds = [(e.kind, uid_of[e.signer_ref]) for e in sent
+                 if e.channel == scope]
+        views = [uid for kind, uid in kinds
+                 if kind is wire.MsgKind.JOIN_RESPONSE]
+        assert kinds[0] == (wire.MsgKind.JOIN, n + 1)
+        assert len(views) <= 3, (scope, views)
+        assert views[0] == 1
+    assert failed_agreements(everyone) == 0
+
+
+def test_three_joins_into_twelve_complete_under_loss(make_cluster,
+                                                     member_factory, roots):
+    net, runner, nodes = make_cluster(12, channels=("ch0",), seed=17,
+                                      loss=0.10, delay_mu=0.025,
+                                      delay_sigma=0.005)
+    runner.start_all()
+    assert settle(runner, nodes)
+    everyone = list(nodes)
+    for uid in (13, 14, 15):
+        everyone.append(add_joiner(runner, nodes, member_factory, roots, uid,
+                                   seed=17))
+        assert settle(runner, everyone, t_max=net.now + 30.0)
+        assert len({nd.group_seed for nd in everyone}) == 1
+        assert len({nd.channel_seed("ch0") for nd in everyone}) == 1
+
+
 def test_round_datagram_parsed_once(member_factory, roots, monkeypatch):
     # the driver parses a round once and hands its fields to the session
     group = fresh_group()
