@@ -536,8 +536,9 @@ def bench_discovery_run(n, seed, mu=0.025, sigma=0.005, loss=0.10,
                         t_max=30.0) -> dict:
     """Cold-start N nodes on a lossy simulated fabric and count messages.
 
-    Every node runs the two agreements (group scope, then the channel) and
-    the row records whether all of them ended with identical seeds.
+    Every node runs the group agreement and derives the channel's seed
+    from it, since every node lists the channel; the row records whether
+    all of them ended with identical seeds.
     ``gka_rounds`` counts round-1 and round-2 datagrams sent, ``restarts``
     the failed agreements summed over every node and scope.
     """

@@ -133,19 +133,35 @@ def key_context(group: str, channel: str, instance_id: int) -> bytes:
             + channel.encode("ascii") + b"\x00" + struct.pack(">Q", instance_id))
 
 
+def _ring(uids) -> bytes:
+    return b"".join(struct.pack(">H", uid) for uid in sorted(uids))
+
+
 def channel_key_context(group: str, channel: str, instance_id: int,
-                        group_seed: bytes, group_instance: int) -> bytes:
+                        group_seed: bytes, group_instance: int,
+                        ring) -> bytes:
     """KDF context for channel material installed under one group agreement.
 
     It binds that agreement's instance id and a digest of its secret seed,
     so every group commit re-keys every channel without a channel agreement.
     Instance ids are public and unique only within one node's view: two
     sides of a partition can each commit the same one. Their seeds differ,
-    so their channel keys do too.
+    so their channel keys do too. It also binds the uids of the channel's
+    ``ring``, so two members that derived different rings never share a key.
     """
     return (key_context(group, channel, instance_id)
             + struct.pack(">Q", group_instance)
-            + hashlib.sha256(group_seed).digest())
+            + hashlib.sha256(group_seed).digest() + _ring(ring))
+
+
+def derive_channel_seed(group_seed: bytes, group: str, channel: str,
+                        ring) -> bytes:
+    """Seed of a channel whose ring is every member of the group agreement
+    that agreed ``group_seed``: every member can derive it, and no one
+    else."""
+    context = (b"lcmsec-channel\x00" + group.encode("ascii") + b"\x00"
+               + channel.encode("ascii") + b"\x00" + _ring(ring))
+    return hkdf_bytes(group_seed, context, 32)
 
 
 def derive_join_scalar(previous_seed: bytes, instance_id: int) -> int:

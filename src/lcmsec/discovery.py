@@ -14,6 +14,14 @@ re-announces, as SRM schedules who repairs a loss. At the deadline
 the view freezes and the key agreement runs over it; on success the joiners
 become participants, on failure everything resets and discovery restarts.
 
+Only a node's group scope gathers. Every JOIN and view lists the channels
+each member is configured for, and the node derives each channel's ring
+from the frozen group view. A channel scope's driver has no JOINs, views,
+gossip or deadline: it runs the agreement the node starts on a ring, or
+holds a seed the node derived. A view leaves out members whose certificate
+lapsed, and never grows past one datagram: a joiner that would take it
+there is refused and counted.
+
 Each agreement run gets a fresh instance id: one more than the driver's
 floor, the highest id this node has attempted or seen advertised. Responses
 gossip the floor, and verified agreement traffic with a newer id pulls
@@ -40,21 +48,23 @@ another node lists it among the joiners.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from functools import cached_property
 from hashlib import sha256
+from typing import NamedTuple
 
 from .errors import (Expired, MalformedUrn, NotAuthorized, NonCanonical,
                      Truncated)
 from .gka import (GkaPhase, GkaSession, LocalIdentity, RingConfig, ring_order,
                   sign_envelope)
 from .identity import LCMDomain, PeerCertificate, authorize, verify_chain
-from .wire import (ManagementEnvelope, MsgKind, encode_join_payload,
-                   encode_join_response_payload, parse_gka_payload,
-                   parse_join_payload, parse_join_response_payload,
-                   signed_region)
+from .wire import (MAX_DATAGRAM, ManagementEnvelope, MsgKind,
+                   encode_join_payload, encode_join_response_payload,
+                   member_size, parse_gka_payload, parse_join_payload,
+                   parse_join_response_payload, signed_region, view_size)
 from . import crypto, gka
 
 log = logging.getLogger(__name__)
@@ -94,21 +104,31 @@ class Phase(Enum):
     COMMITTED = "committed"
 
 
+class Member(NamedTuple):
+    """One entry of a view: a certificate and the channels its holder is
+    configured for, sorted."""
+
+    cert: PeerCertificate
+    channels: tuple[str, ...] = ()
+
+
 @dataclass(frozen=True)
 class DiscoveryState:
     """One view of the group: participants, joiners, next deadline (ms)."""
 
-    participants: dict[int, PeerCertificate] = field(default_factory=dict)
-    joining: dict[int, PeerCertificate] = field(default_factory=dict)
+    participants: dict[int, Member] = field(default_factory=dict)
+    joining: dict[int, Member] = field(default_factory=dict)
     t_ms: int = T_SENTINEL
 
     def canonical(self) -> bytes:
         h = sha256()
-        for uid in sorted(self.participants):
-            h.update(self.participants[uid].fingerprint)
-        h.update(b"|")
-        for uid in sorted(self.joining):
-            h.update(self.joining[uid].fingerprint)
+        for members in (self.participants, self.joining):
+            for uid in sorted(members):
+                cert, channels = members[uid]
+                # names are ASCII without NUL, so 0xff ends a list
+                h.update(cert.fingerprint + "\x00".join(channels).encode(
+                    "ascii") + b"\xff")
+            h.update(b"|")
         h.update(self.t_ms.to_bytes(8, "big"))
         return h.digest()
 
@@ -141,8 +161,16 @@ class CommitResult:
     epoch: int
     instance_id: int
     seed: bytes
-    members: dict[int, PeerCertificate]
-    sender_ids: dict[int, int]
+    #: the view the agreement ran over; its joiners lacked the previous seed
+    view: DiscoveryState
+
+    @property
+    def members(self) -> dict[int, Member]:
+        return {**self.view.participants, **self.view.joining}
+
+    @property
+    def sender_ids(self) -> dict[int, int]:
+        return assign_sender_ids(self.members)
 
 
 class ChainVerdicts:
@@ -160,6 +188,8 @@ class ChainVerdicts:
         self.roots = roots
         self._until: dict[bytes, float] = {}    # lapse, as a node's now
         self._epoch: datetime | None = None     # UTC time at now == 0
+        #: no kept verdict lapses before this
+        self.next_lapse = math.inf
 
     def utc(self, now: float) -> datetime:
         """UTC time at ``now``; the first call reads the wall clock once."""
@@ -176,6 +206,7 @@ class ChainVerdicts:
             until = self._until[cert.fingerprint] = (min(
                 cert.cert.not_valid_after_utc, chain.root.not_valid_after_utc
             ) - self._epoch).total_seconds()
+            self.next_lapse = min(self.next_lapse, until)
         return now <= until
 
 
@@ -189,16 +220,25 @@ class DiscoveryDriver:
 
     All methods return envelopes to broadcast. Completed or failed
     agreements surface through :meth:`take_events`. ``chains`` holds the
-    chain verdicts the node's drivers share. ``floor`` is the highest
-    instance id this driver attempted or took from authenticated traffic;
-    the driver alone decides which instance ids are fresh.
+    chain verdicts the node's drivers share, and ``channels`` the channels
+    this node lists in its JOINs. ``floor`` is the highest instance id this
+    driver attempted or took from authenticated traffic; the driver alone
+    decides which instance ids are fresh.
+
+    Only a group scope's driver gathers. A channel scope's driver drops
+    JOINs and views, runs only the agreements :meth:`agree` starts on rings
+    its caller derived, holds seeds :meth:`adopt` hands it, and leaves a
+    failed agreement to its caller.
     """
 
     def __init__(self, scope: LCMDomain, identity: LocalIdentity,
-                 chains: ChainVerdicts, rng):
+                 chains: ChainVerdicts, rng, channels=()):
         self.scope = scope
         self.identity = identity
         self.chains = chains
+        self.gathers = not scope.channel
+        #: this node's own entry in every view
+        self.member = Member(identity.cert, tuple(sorted(set(channels))))
         self.floor = 0
         self.rng = rng
         self.phase = Phase.IDLE
@@ -208,7 +248,7 @@ class DiscoveryDriver:
         self.stats: dict[str, int] = {}
         self.events: list[tuple[str, object]] = []
 
-        self._pending: dict[int, tuple[int, PeerCertificate]] = {}   # M
+        self._pending: dict[int, tuple[int, Member]] = {}   # M
         self._known: dict[bytes, tuple[int, PeerCertificate]] = {}
         own = identity.cert.uid_for_group(scope.group)
         if own is not None:
@@ -255,7 +295,7 @@ class DiscoveryDriver:
             return self._drop("own_cert_expired")
         t_ms = self._fresh_deadline(now)
         self.state = DiscoveryState(
-            participants={}, joining={self.identity.uid: self.identity.cert},
+            participants={}, joining={self.identity.uid: self.member},
             t_ms=t_ms)
         out = self._announce(t_ms, now)
         self._gather(now)
@@ -269,6 +309,9 @@ class DiscoveryDriver:
             return self._drop("own_echo")
         if (env.group, env.channel) != (self.scope.group, self.scope.channel):
             return self._drop("wrong_scope")
+        if not self.gathers and env.kind in (MsgKind.JOIN,
+                                             MsgKind.JOIN_RESPONSE):
+            return self._drop("no_gathering")
         if env.kind is MsgKind.JOIN:
             out = self._handle_join(env, now)
         elif env.kind is MsgKind.JOIN_RESPONSE:
@@ -280,6 +323,8 @@ class DiscoveryDriver:
 
     def on_timer(self, now: float) -> list[ManagementEnvelope]:
         out: list[ManagementEnvelope] = []
+        if self.phase in (Phase.GATHERING, Phase.COMMITTED):
+            self._prune(now)
         if self._response_at is not None and now >= self._response_at:
             self._response_at = None
             if self.phase in (Phase.GATHERING, Phase.COMMITTED):
@@ -335,24 +380,51 @@ class DiscoveryDriver:
         out, self.events = self.events, []
         return out
 
-    def force_rekey(self, now: float) -> None:
+    def force_rekey(self, now: float, as_joiner: bool = False) -> None:
         """Schedule a fresh agreement among the committed members.
 
         The node calls it on the group scope when the send counter is
-        spent. The group commit resets the counter and re-derives every
-        channel key locally, so no channel agreement has to follow.
+        spent; the group commit resets the counter and re-keys every
+        channel. With ``as_joiner`` this member takes a joiner's slot in
+        it: the node's way to get a channel seed it lacks.
         """
         if self.phase is not Phase.COMMITTED:
             return
-        self.state = replace(self.state, t_ms=self._fresh_deadline(now))
+        t_ms = self._fresh_deadline(now)
+        joining = self.state.joining
+        if as_joiner:
+            self._my_join_t = t_ms
+            joining = {**joining, self.identity.uid: self.member}
+        self.state = replace(self.state, joining=joining, t_ms=t_ms)
         self._gather(now)
+
+    def agree(self, view: DiscoveryState, instance_id: int, now: float
+              ) -> list[ManagementEnvelope]:
+        """Start the agreement over ``view`` now, at ``instance_id``: a ring
+        the caller derived, with no gathering. Its participants hold this
+        scope's seed and its joiners do not. The ring's members are the
+        only signers the driver knows from then on."""
+        self._known = {cert.fingerprint: (uid, cert) for uid, (cert, _) in
+                       (*view.participants.items(), *view.joining.items())}
+        self.state = view
+        return self._freeze(now, instance_id)
+
+    def adopt(self, seed: bytes | None, view: DiscoveryState) -> None:
+        """Hold ``seed`` as committed over ``view`` with no agreement, or,
+        given None, hold no seed; an agreement still running is dropped."""
+        self._session = self._frozen = None
+        self.state = view
+        self.seed = seed
+        self.phase = Phase.IDLE if seed is None else Phase.COMMITTED
+        if seed is not None:
+            self.epoch += 1
 
     # ------------------------------------------------------------- incoming
 
     def _handle_join(self, env: ManagementEnvelope, now: float
                      ) -> list[ManagementEnvelope]:
         try:
-            t_ms, der = parse_join_payload(env.payload)
+            t_ms, der, channels = parse_join_payload(env.payload)
             cert = PeerCertificate.from_der(der)
         except (Truncated, NonCanonical, MalformedUrn, ValueError):
             return self._drop("malformed_join")
@@ -381,22 +453,22 @@ class DiscoveryDriver:
                 "ring member abandoned the running agreement", now)
         # a JOIN heard again means the joiner missed every answer so far
         self._answered.discard(uid)
-        self._note_pending(uid, t_ms, cert, now)
+        self._note_pending(uid, t_ms, Member(cert, channels), now)
         return out
 
-    def _note_pending(self, uid: int, t_ms: int, cert: PeerCertificate,
+    def _note_pending(self, uid: int, t_ms: int, member: Member,
                       now: float) -> None:
         entry = self._pending.get(uid)
         if entry is None or t_ms > entry[0]:
             # keep the newest deadline: a joiner that timed out waiting
             # re-announces with a later t, and replays only carry older ones
-            self._pending[uid] = (t_ms, cert)
+            self._pending[uid] = (t_ms, member)
             self._arm_response(now)
 
     def _handle_join_response(self, env: ManagementEnvelope, now: float
                               ) -> list[ManagementEnvelope]:
         try:
-            t_ms, p_ders, j_ders, floor = parse_join_response_payload(
+            t_ms, p_raw, j_raw, floor = parse_join_response_payload(
                 env.payload)
         except (Truncated, NonCanonical, ValueError):
             return self._drop("malformed_response")
@@ -411,41 +483,45 @@ class DiscoveryDriver:
                 self.floor = floor
             return self._drop("response_ignored")
         try:
-            p_certs = [PeerCertificate.from_der(d) for d in p_ders]
-            j_certs = [PeerCertificate.from_der(d) for d in j_ders]
+            p_in = [Member(PeerCertificate.from_der(d), ch) for d, ch in p_raw]
+            j_in = [Member(PeerCertificate.from_der(d), ch) for d, ch in j_raw]
         except (Truncated, NonCanonical, MalformedUrn, ValueError):
             return self._drop("malformed_response")
         if self.phase is Phase.COMMITTED and t_ms < self._now_ms(now):
             # describes a gathering that already resolved; reacting to a
             # replay here would drag a settled group into pointless re-keys
             return self._drop("stale_response")
-        participants: dict[int, PeerCertificate] = {}
-        joining: dict[int, PeerCertificate] = {}
-        for certs, target in ((p_certs, participants), (j_certs, joining)):
-            for cert in certs:
-                uid = self._admit(cert, now)
+        participants: dict[int, Member] = {}
+        joining: dict[int, Member] = {}
+        for members, target in ((p_in, participants), (j_in, joining)):
+            for member in members:
+                if self._lapsed(member.cert, now):
+                    continue            # a lapsed member leaves the view
+                uid = self._admit(member.cert, now)
                 if uid is None or uid in target:
                     return self._drop("bad_member_cert")
                 if (target is joining and uid in participants
-                        and participants[uid].fingerprint
-                        != cert.fingerprint):
+                        and participants[uid].cert.fingerprint
+                        != member.cert.fingerprint):
                     # a participant may re-join, but only as itself
                     return self._drop("bad_member_cert")
-                target[uid] = cert
-        for certs, target in ((p_certs, participants), (j_certs, joining)):
-            if [c.fingerprint for c in certs] != \
-                    [target[u].fingerprint for u in sorted(target)]:
+                target[uid] = member
+            if list(target) != sorted(target):
                 return self._drop("noncanonical_response")
         signer = self._known.get(env.signer_ref)
         if signer is None:
             return self._drop("unknown_responder")
         # the responder must be in the view it advertises, as itself
         listed = participants.get(signer[0]) or joining.get(signer[0])
-        if listed is None or listed.fingerprint != env.signer_ref:
+        if listed is None or listed.cert.fingerprint != env.signer_ref:
             return self._drop("foreign_responder")
         incoming = DiscoveryState(participants=participants, joining=joining,
                                   t_ms=t_ms)
-        merged = merge_max(self.state, incoming)
+        self._prune(now)
+        merged = self._keep_self(merge_max(self.state, incoming))
+        if merged is not incoming and merged is not self.state and \
+                self._view_bytes(merged) > MAX_DATAGRAM:
+            return self._drop("view_full")      # no room to add this node
         floor_now = self.floor
         if merged is self.state and floor <= floor_now:
             # an equal view and floor is news only to the gossip timer,
@@ -457,15 +533,15 @@ class DiscoveryDriver:
                     and compare(incoming, self.state) == 0)
             if not echo and not self._answered_by(incoming, signer[0]):
                 return self._drop("no_news")
-            if not self._authentic(env, listed):
+            if not self._authentic(env, listed.cert):
                 return []
             self._note_view(incoming, floor, signer[0])
             return self._drop("view_echo" if echo else "answer_heard")
-        if not self._authentic(env, listed):
+        if not self._authentic(env, listed.cert):
             return []
         self.floor = max(floor_now, floor)
         if merged is not self.state:
-            self.state = self._keep_self(merged)
+            self.state = merged
             if self.phase is Phase.COMMITTED and \
                     self.state.t_ms != T_SENTINEL:
                 # a re-key is gathering, with or without joiners: freeze
@@ -521,7 +597,8 @@ class DiscoveryDriver:
         running = session is not None and \
             instance == session.config.instance_id
         if not helps and (
-                (instance <= floor and not running)
+                # without a gathering, instance ids come from the caller
+                (not running and (instance <= floor or not self.gathers))
                 or (running and round_no == 1
                     and uid not in session.round1_uids
                     and uid in session.config.uids)
@@ -543,6 +620,7 @@ class DiscoveryDriver:
                        or uid in self.state.joining)
             if self.phase is Phase.GATHERING and round_no == 1 and present:
                 # a co-member already reached its deadline: freeze with it
+                self._prune(now)
                 out.extend(self._freeze(now, instance))
             elif self.phase is Phase.COMMITTED and \
                     uid in self.state.participants:
@@ -580,6 +658,32 @@ class DiscoveryDriver:
     def _drop(self, reason: str) -> list[ManagementEnvelope]:
         self.stats[reason] = self.stats.get(reason, 0) + 1
         return []
+
+    def _lapsed(self, cert: PeerCertificate, now: float) -> bool:
+        """Whether ``cert``'s chain verdict fails at ``now``; this node's own
+        certificate is not chain-checked."""
+        return cert.fingerprint != self.identity.cert.fingerprint and \
+            not self.chains.trusted(cert, now)
+
+    def _prune(self, now: float) -> None:
+        """Leave members whose chain verdict lapsed out of this node's
+        view, so that it neither gossips nor freezes them."""
+        if now <= self.chains.next_lapse:
+            return
+        st = self.state
+        live = [{u: m for u, m in members.items()
+                 if not self._lapsed(m.cert, now)}
+                for members in (st.participants, st.joining)]
+        if len(live[0]) + len(live[1]) < \
+                len(st.participants) + len(st.joining):
+            self.state = DiscoveryState(*live, st.t_ms)
+
+    def _view_bytes(self, state: DiscoveryState) -> int:
+        """The largest datagram a view of ``state`` takes."""
+        return view_size(self.scope.group, self.scope.channel, sum(
+            member_size(m.cert.der, m.channels)
+            for m in (*state.participants.values(),
+                      *state.joining.values())))
 
     def _admit(self, cert: PeerCertificate, now: float) -> int | None:
         """Chain + permission check on every use; returns the uid.
@@ -639,7 +743,7 @@ class DiscoveryDriver:
                                      and not joining_myself):
             return merged
         joining = dict(merged.joining)
-        joining[uid] = self.identity.cert
+        joining[uid] = self.member
         t_ms = merged.t_ms
         if self._my_join_t is not None:
             t_ms = min(t_ms, self._my_join_t)
@@ -650,7 +754,8 @@ class DiscoveryDriver:
         """Sign this node's JOIN with deadline ``t_ms`` and re-send it every
         :data:`JOIN_REBROADCAST` until a view from another node lists it."""
         self._my_join_t = t_ms
-        payload = encode_join_payload(t_ms, self.identity.cert.der)
+        payload = encode_join_payload(t_ms, self.identity.cert.der,
+                                      self.member.channels)
         self._join_env = sign_envelope(MsgKind.JOIN, self.scope,
                                        self.identity, payload)
         self._join_resend_at = now + JOIN_REBROADCAST
@@ -667,9 +772,19 @@ class DiscoveryDriver:
             return False
         joining = dict(self.state.joining)
         t_ms = self.state.t_ms
-        for uid, (t, cert) in fresh.items():
-            joining[uid] = cert
+        room = MAX_DATAGRAM - self._view_bytes(self.state)
+        for uid, (t, member) in fresh.items():
+            need = member_size(member.cert.der, member.channels)
+            if need > room:
+                # its entry would take the view past one datagram
+                del self._pending[uid]
+                self._drop("view_full")
+                continue
+            room -= need
+            joining[uid] = member
             t_ms = min(t_ms, t)
+        if len(joining) == len(self.state.joining):
+            return False
         self.state = DiscoveryState(participants=self.state.participants,
                                     joining=joining, t_ms=t_ms)
         if self.phase is Phase.COMMITTED:
@@ -695,8 +810,10 @@ class DiscoveryDriver:
     def _view_response(self) -> ManagementEnvelope:
         payload = encode_join_response_payload(
             self.state.t_ms,
-            [(u, c.der) for u, c in self.state.participants.items()],
-            [(u, c.der) for u, c in self.state.joining.items()],
+            [(u, m.cert.der, m.channels)
+             for u, m in self.state.participants.items()],
+            [(u, m.cert.der, m.channels)
+             for u, m in self.state.joining.items()],
             self.floor)
         return sign_envelope(MsgKind.JOIN_RESPONSE, self.scope, self.identity,
                              payload)
@@ -783,10 +900,12 @@ class DiscoveryDriver:
         joining = self.state.joining
         # participants who are also (re-)joining take a joiner slot: they
         # lack the running seed, so a passive role would strand them
-        core = [(u, c) for u, c in self.state.participants.items()
+        core = [(u, m.cert) for u, m in self.state.participants.items()
                 if u not in joining]
-        config = RingConfig(self.scope, ring_order(core, joining.items()),
-                            instance_id, self.seed if core else None)
+        config = RingConfig(
+            self.scope,
+            ring_order(core, [(u, m.cert) for u, m in joining.items()]),
+            instance_id, self.seed if core else None)
         session = GkaSession(config, self.identity, rng=self.rng)
         out = session.start(now)
         # callers pass floor + 1 or a verified round's newer id
@@ -818,7 +937,7 @@ class DiscoveryDriver:
             result = CommitResult(
                 scope=self.scope, epoch=self.epoch,
                 instance_id=session.config.instance_id, seed=session.seed,
-                members=members, sender_ids=assign_sender_ids(members))
+                view=frozen)
             self.events.append(("committed", result))
             # joins satisfied by this commit are done; the rest re-arm
             self._pending = {u: tc for u, tc in self._pending.items()
@@ -845,4 +964,5 @@ class DiscoveryDriver:
         self._response_at = None
         self.state = DiscoveryState()
         self.phase = Phase.IDLE
-        return self.initiate_join(now)
+        # without a gathering, what follows a failure is the caller's
+        return self.initiate_join(now) if self.gathers else []

@@ -123,6 +123,9 @@ class PeerCertificate:
         if not uris:
             raise MalformedUrn("certificate carries no URI SANs")
         self.san_urns = tuple(DomainUrn.parse(u) for u in uris)
+        self._channels: dict[str, set[str]] = {}
+        for urn in self.san_urns:
+            self._channels.setdefault(urn.group, set()).add(urn.channel)
 
     @classmethod
     def from_der(cls, der: bytes) -> "PeerCertificate":
@@ -144,6 +147,12 @@ class PeerCertificate:
         if not isinstance(key, ec.EllipticCurvePublicKey):
             raise MalformedUrn("subject key is not an EC key")
         return key
+
+    def grants(self, group: str, channel: str) -> bool:
+        """Whether a SAN names ``channel`` of ``group``, or ``*``; validity
+        and ids are for :func:`authorize` to check."""
+        names = self._channels.get(group, ())
+        return channel in names or WILDCARD in names
 
     def uid_for_group(self, group: str) -> int | None:
         ids = {u.id for u in self.san_urns if u.group == group}

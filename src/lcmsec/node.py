@@ -1,15 +1,25 @@
-"""Sans-io node: discovery per scope, key agreement, and the data path.
+"""Sans-io node: group discovery, key agreement, and the data path.
 
-One node runs a discovery driver for the group scope plus one per channel
-it participates in. Group commits assign the sender id, reset the shared
-send counter and, in the same call, re-derive every keyed channel's payload
-key from its unchanged seed under the new group agreement's seed and
-instance id (the counter reset would otherwise repeat IVs). Channel
-agreements run only when a member enters that channel; their commits
-install payload keys under the current group agreement. The node itself
-never touches a socket: datagrams and timestamps are handed in, and outbound
-datagrams are handed back. Timers and certificate expiry run on that ``now``,
-tied to UTC by one wall-clock reading at ``ChainVerdicts.utc``'s first call.
+Only the group scope gathers. Each JOIN and view lists the channels every
+member is configured for, and at each group commit every member derives
+each channel's ring from the frozen view: the members that list the
+channel and whose certificate grants it. A ring equal to the one the
+channel last committed, with no member new to the group, keeps its seed. A
+ring of every group member takes a seed derived from the group seed.
+Otherwise the ring's members run the channel agreement at once, under the
+group's instance id: a join ring when the ring only adds members new to
+the group, a fresh one otherwise, and the channel has no key until it
+commits. A member whose part needs a channel seed it does not hold, or
+whose channel agreement fails, forces a group re-key in which it takes a
+joiner's slot.
+
+Group commits assign the sender id, reset the shared send counter and, in
+the same call, install every channel key derived under the new group
+agreement's seed and instance id (the counter reset would otherwise repeat
+IVs). The node itself never touches a socket: datagrams and timestamps are
+handed in, and outbound datagrams are handed back. Timers and certificate
+expiry run on that ``now``, tied to UTC by one wall-clock reading at
+``ChainVerdicts.utc``'s first call.
 """
 
 from __future__ import annotations
@@ -18,8 +28,10 @@ import logging
 import random
 
 from . import wire
-from .crypto import channel_key_context, kdf_expand, key_context
-from .discovery import ChainVerdicts, CommitResult, DiscoveryDriver, Phase
+from .crypto import (channel_key_context, derive_channel_seed, kdf_expand,
+                     key_context)
+from .discovery import (ChainVerdicts, CommitResult, DiscoveryDriver,
+                        DiscoveryState, Phase)
 from .errors import CounterExhausted, LcmsecError
 from .gka import LocalIdentity
 from .identity import LCMDomain, authorize
@@ -34,9 +46,10 @@ class LcmsecNode:
     """Everything about one multicast group membership, minus the I/O.
 
     ``drivers`` holds one discovery driver per scope, keyed by channel; the
-    group scope is ``""``. Without ``rng`` the node draws its agreement
-    scalars and its timer jitter from the OS CSPRNG (``SystemRandom``); a
-    seeded ``random.Random`` makes simulations and tests reproducible.
+    group scope is ``""``, and only it gathers. Without ``rng`` the node
+    draws its agreement scalars and its timer jitter from the OS CSPRNG
+    (``SystemRandom``); a seeded ``random.Random`` makes simulations and
+    tests reproducible.
     """
 
     def __init__(self, identity: LocalIdentity, roots, group: str,
@@ -47,12 +60,13 @@ class LcmsecNode:
         self.rng = rng or random.SystemRandom()
         self.session = Session(group, self.channels, mtu=mtu)
         chains = ChainVerdicts(roots)
-        self.drivers = {
-            ch: DiscoveryDriver(LCMDomain(group, ch), identity, chains,
-                                self.rng)
-            for ch in ("", *self.channels)}
+        self.drivers = {"": DiscoveryDriver(LCMDomain(group, ""), identity,
+                                            chains, self.rng, self.channels)}
+        for ch in self.channels:
+            self.drivers[ch] = DiscoveryDriver(LCMDomain(group, ch), identity,
+                                               chains, self.rng)
         self._group_result: CommitResult | None = None
-        #: each channel's last commit, re-derived under every group commit
+        #: each keyed channel's seed, re-derived under every group commit
         self._channel_results: dict[str, CommitResult] = {}
         self._deliveries: list[tuple[str, bytes]] = []
         self.stats = {"foreign_scope": 0}
@@ -60,7 +74,7 @@ class LcmsecNode:
     # -------------------------------------------------------------- lifecycle
 
     def start(self, now: float) -> list[bytes]:
-        """Join the group scope; channel scopes follow the group commit.
+        """Join the group scope; channel keys follow from its commits.
 
         Raises NotAuthorized or Expired, before anything is sent, unless the
         certificate grants the group and every configured channel.
@@ -162,30 +176,84 @@ class LcmsecNode:
         out = []
         for channel, driver in self.drivers.items():
             for kind, result in driver.take_events():
-                if kind != "committed":
-                    continue
-                if channel:
-                    self._on_channel_commit(channel, result, now)
-                else:
-                    out.extend(self._on_group_commit(result, now))
+                if kind == "committed":
+                    if channel:
+                        self._on_channel_commit(channel, result, now)
+                    else:
+                        out.extend(self._on_group_commit(result, now))
+                elif channel:
+                    # a failed channel agreement: the next group commit
+                    # re-derives the ring with this member as a joiner. A
+                    # group re-key already under way re-derives it too.
+                    self.drivers[""].force_rekey(now, as_joiner=True)
         return out
 
     def _on_group_commit(self, result: CommitResult, now: float):
         self._group_result = result
         material = kdf_expand(
             result.seed, key_context(self.group, "", result.instance_id))
+        rings = [(self.drivers[ch], self._channel_ring(ch, result, now))
+                 for ch in self.channels]
         # the counter resets, so every keyed channel re-keys in the same call
         channels = {ch: self._channel_material(ch, r)
                     for ch, r in self._channel_results.items()}
-        self.session.install_group(material, result.sender_ids[
-            self.identity.uid], now, channels)
+        self.session.install_group(
+            material, result.sender_ids[self.identity.uid], now, channels)
         log.debug("%s: group epoch %d (%d members)", self.group,
                   result.epoch, len(result.members))
         out = []
-        for channel, driver in self.drivers.items():
-            if channel and driver.phase is Phase.IDLE:
-                out.extend(driver.initiate_join(now))
+        for driver, ring in rings:
+            if ring is not None:
+                out.extend(driver.agree(ring, result.instance_id, now))
         return out
+
+    def _channel_ring(self, channel: str, result: CommitResult, now: float
+                      ) -> DiscoveryState | None:
+        """Key ``channel`` from the group commit ``result`` by the rules in
+        the module docstring; returns the ring to agree on, if any."""
+        view, uid = result.view, self.identity.uid
+        driver = self.drivers[channel]
+
+        def listed(m):
+            return channel in m.channels and m.cert.grants(self.group,
+                                                           channel)
+        ring = {u: m for u, m in result.members.items() if listed(m)}
+        new = ring.keys() & view.joining.keys()  # lacked the last group seed
+        held = (driver.state.participants.keys()
+                if driver.phase is Phase.COMMITTED else None)
+        start = None
+        if uid not in ring or len(ring) < 2:
+            driver.adopt(None, DiscoveryState())
+        elif not new and held == ring.keys():
+            return None                     # the channel keeps its seed
+        elif len(ring) == len(result.members):
+            seed = derive_channel_seed(result.seed, self.group, channel, ring)
+            driver.adopt(seed, DiscoveryState(participants=ring))
+            self._channel_results[channel] = CommitResult(
+                driver.scope, driver.epoch, result.instance_id, seed,
+                driver.state)
+            return None
+        else:
+            # a join ring only adds members new to the group. It is fresh
+            # once a member left, or one that joins again lists the channel
+            # now or did before, since that one may lack the seed
+            rejoined = view.participants.keys() & view.joining.keys()
+            incumbents = {u: m for u, m in ring.items() if u not in new}
+            if not new or (held is not None and not held <= ring.keys()) \
+                    or any(u in ring or listed(view.participants[u])
+                           for u in rejoined):
+                incumbents = {}
+            if held is None and (uid in incumbents or not new):
+                # its part needs a seed it lacks: it takes a joiner's slot
+                # in the next commit
+                self.drivers[""].force_rekey(now, as_joiner=True)
+            else:
+                start = DiscoveryState(participants=incumbents, joining={
+                    u: m for u, m in ring.items() if u not in incumbents})
+        # nothing is sealed on this channel until it is keyed again
+        self._channel_results.pop(channel, None)
+        self.session.forget_channel(channel)
+        return start
 
     def _on_channel_commit(self, channel: str, result: CommitResult,
                            now: float):
@@ -196,10 +264,10 @@ class LcmsecNode:
                   result.epoch)
 
     def _channel_material(self, channel: str, result: CommitResult):
-        """Payload key from the channel seed under the current group
-        agreement; a channel commits only after the group has."""
+        """Payload key from the channel seed and ring under the current
+        group agreement; a channel commits only after the group has."""
         group = self._group_result
         return kdf_expand(
             result.seed, channel_key_context(
                 self.group, channel, result.instance_id, group.seed,
-                group.instance_id))
+                group.instance_id, result.members))

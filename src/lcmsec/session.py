@@ -134,6 +134,9 @@ class KeyStore:
             slot.expires = now + GRACE
         self._slots[scope] = [KeySlot(material)] + kept
 
+    def forget(self, scope: str):
+        self._slots.pop(scope, None)
+
     def slots(self, scope: str, now: float) -> list[KeySlot]:
         slots = self._slots.get(scope, [])
         if len(slots) > 1 and now >= slots[1].expires:
@@ -199,6 +202,12 @@ class Session:
     def install_channel(self, channel: str, material: KeyMaterial,
                         now: float):
         self.keys.install(channel, material, now)
+        self._sending.pop(channel, None)
+
+    def forget_channel(self, channel: str):
+        """Drop every key of ``channel``: nothing is sealed or opened on it
+        until the next install."""
+        self.keys.forget(channel)
         self._sending.pop(channel, None)
 
     # --------------------------------------------------------------- publish

@@ -16,9 +16,7 @@ import struct
 import time
 
 from .errors import Oversize, SocketError
-
-#: largest datagram either transport accepts (UDP payload ceiling)
-MAX_DATAGRAM = 65507
+from .wire import MAX_DATAGRAM
 
 
 def parse_group_address(group: str) -> tuple[str, int]:

@@ -25,6 +25,8 @@ MAGIC_PLAIN = 0x4C433032
 
 #: channel name bound, terminator included
 MAX_CHANNELNAME = 256
+#: largest datagram either transport accepts (UDP payload ceiling)
+MAX_DATAGRAM = 65507
 #: largest sealed body (ciphertext and tag) a receiver reassembles; senders
 #: refuse anything bigger. A chosen policy, not a figure from the paper:
 #: the 32-bit length field allows 4 GiB, and at a 1400 B MTU the 16-bit
@@ -456,43 +458,77 @@ def decode_management(data: bytes) -> ManagementEnvelope:
 # ------------------------------------------------- management payload layouts
 
 
-def encode_join_payload(t_ms: int, cert_der: bytes) -> bytes:
-    return struct.pack(">Q", t_ms) + _blob(cert_der)
+def _names(names) -> bytes:
+    """A channel list: the names sorted, without repeats, joined by NUL."""
+    return _blob("\x00".join(sorted(set(names))).encode("ascii"))
 
 
-def parse_join_payload(payload: bytes) -> tuple[int, bytes]:
+def _read_names(r: _Reader) -> tuple[str, ...]:
+    raw = r.blob()
+    if not raw:
+        return ()
+    if not raw.isascii():
+        raise NonCanonical("non-ASCII channel name")
+    names = raw.decode("ascii").split("\x00")
+    if "" in names or len(max(names, key=len)) >= MAX_CHANNELNAME \
+            or names != sorted(set(names)):
+        raise NonCanonical("channel names not 1-255 B, sorted and unique")
+    return tuple(names)
+
+
+def encode_join_payload(t_ms: int, cert_der: bytes, channels=()) -> bytes:
+    """A JOIN: its deadline, the joiner's certificate and the channels it
+    is configured for."""
+    return struct.pack(">Q", t_ms) + _blob(cert_der) + _names(channels)
+
+
+def parse_join_payload(payload: bytes) -> tuple[int, bytes, tuple[str, ...]]:
     r = _Reader(payload)
     t_ms = r.u64()
     cert = r.blob()
+    channels = _read_names(r)
     r.done()
-    return t_ms, cert
+    return t_ms, cert, channels
 
 
-def _cert_set(certs: list[tuple[int, bytes]]) -> bytes:
-    ordered = sorted(certs, key=lambda c: (c[0], c[1]))
+def member_size(cert_der: bytes, channels) -> int:
+    """Bytes one member takes in a view payload."""
+    return 8 + len(cert_der) + len("\x00".join(channels))
+
+
+def view_size(group: str, channel: str, members_bytes: int) -> int:
+    """Largest datagram of a view whose members take ``members_bytes``: the
+    envelope with the longest P-256 signature (72 B of DER) around the
+    payload's fixed fields."""
+    return (4 + 1 + 4 + len(group) + 4 + len(channel) + 4 + 24
+            + members_bytes + 32 + 4 + 72)
+
+
+def _member_set(members) -> bytes:
+    ordered = sorted(members, key=lambda m: (m[0], m[1]))
     return struct.pack(">I", len(ordered)) + b"".join(
-        _blob(der) for _, der in ordered)
+        _blob(der) + _names(channels) for _, der, channels in ordered)
 
 
-def encode_join_response_payload(t_ms: int,
-                                 participants: list[tuple[int, bytes]],
-                                 joiners: list[tuple[int, bytes]],
+def encode_join_response_payload(t_ms: int, participants, joiners,
                                  last_instance_id: int) -> bytes:
-    """Cert sets are (uid, DER) pairs; encoding sorts them by uid."""
-    return (struct.pack(">Q", t_ms) + _cert_set(participants)
-            + _cert_set(joiners) + struct.pack(">Q", last_instance_id))
+    """A view. Members are (uid, certificate DER, channels) triples, and
+    encoding sorts each set by uid."""
+    return (struct.pack(">Q", t_ms) + _member_set(participants)
+            + _member_set(joiners) + struct.pack(">Q", last_instance_id))
 
 
-def parse_join_response_payload(payload: bytes
-                                ) -> tuple[int, list[bytes], list[bytes], int]:
+def parse_join_response_payload(payload: bytes):
+    """(t_ms, participants, joiners, last instance id); each member is a
+    (certificate DER, channels) pair, in encoded order."""
     r = _Reader(payload)
     t_ms = r.u64()
-    out: list[list[bytes]] = []
+    out: list[list[tuple[bytes, tuple[str, ...]]]] = []
     for _ in range(2):
         count = r.u32()
         if count > 0xFFFF:
             raise NonCanonical(f"absurd certificate count {count}")
-        out.append([r.blob() for _ in range(count)])
+        out.append([(r.blob(), _read_names(r)) for _ in range(count)])
     last_instance = r.u64()
     r.done()
     return t_ms, out[0], out[1], last_instance

@@ -24,7 +24,7 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from lcmsec.cli import (bench_discovery_run, bench_latency_udp_source,
                         load_config)
 from lcmsec.crypto import KeyMaterial
-from lcmsec.discovery import DiscoveryState, compare, merge_max
+from lcmsec.discovery import DiscoveryState, Member, compare, merge_max
 from lcmsec.gka import GkaPhase, LocalIdentity
 from lcmsec.identity import (CertificateAuthority, DomainUrn, LCMDomain,
                              PeerCertificate, save_certificate,
@@ -273,8 +273,8 @@ def test_criterion_06_replay_window_equals_oracle(record_property):
 
 @pytest.mark.slow
 def test_criterion_07_lossy_cold_starts_converge(record_property):
-    golden = {(2, 1): (6, 8), (8, 1): (16, 20),
-              (16, 1): (48, 57), (32, 1): (64, 55)}
+    golden = {(2, 1): (4, 4), (8, 1): (8, 10),
+              (16, 1): (16, 8), (32, 1): (32, 23)}
     medians = {}
     worst_virtual = 0.0
     converged_total = 0
@@ -316,8 +316,8 @@ def test_criterion_08_view_order_and_merge(member_factory, record_property):
         uids = rng.sample(range(1, 11), rng.randint(1, 7))
         split = rng.randint(0, len(uids))
         return DiscoveryState(
-            participants={u: certs[u] for u in uids[:split]},
-            joining={u: certs[u] for u in uids[split:]},
+            participants={u: Member(certs[u]) for u in uids[:split]},
+            joining={u: Member(certs[u]) for u in uids[split:]},
             t_ms=rng.choice((1_000, 2_000, 3_000)))
 
     pool = [rand_state() for _ in range(120)]

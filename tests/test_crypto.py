@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from lcmsec import crypto
 from lcmsec.crypto import (KeyMaterial, aead_open, aead_seal, build_iv,
                            channel_key_context, ctr_crypt,
+                           derive_channel_seed,
                            derive_join_scalar, hkdf_bytes, kdf_expand,
                            key_context, sign, verify)
 from lcmsec.ecgroup import P256_ORDER
@@ -238,12 +239,25 @@ def test_key_context_separates_scopes():
     # channel material also binds the group agreement it is installed
     # under: its instance id, and its seed, which two sides of a partition
     # that commit the same instance id do not share
-    base = channel_key_context("g", "a", 1, b"seed-A", 7)
-    assert base != channel_key_context("g", "a", 1, b"seed-A", 8)
-    assert base != channel_key_context("g", "a", 1, b"seed-B", 7)
-    assert base != channel_key_context("g", "b", 1, b"seed-A", 7)
-    assert base != channel_key_context("g", "a", 2, b"seed-A", 7)
+    base = channel_key_context("g", "a", 1, b"seed-A", 7, [1, 2])
+    assert base != channel_key_context("g", "a", 1, b"seed-A", 8, [1, 2])
+    assert base != channel_key_context("g", "a", 1, b"seed-B", 7, [1, 2])
+    assert base != channel_key_context("g", "b", 1, b"seed-A", 7, [1, 2])
+    assert base != channel_key_context("g", "a", 2, b"seed-A", 7, [1, 2])
     assert base.startswith(key_context("g", "a", 1))
+    # and the channel's ring, in any order it is handed in
+    assert base != channel_key_context("g", "a", 1, b"seed-A", 7, [1, 2, 3])
+    assert base == channel_key_context("g", "a", 1, b"seed-A", 7, [2, 1])
+
+
+def test_channel_seed_binds_group_seed_channel_and_ring():
+    seed = derive_channel_seed(b"group-seed", "g", "a", [1, 2, 3])
+    assert len(seed) == 32
+    assert seed == derive_channel_seed(b"group-seed", "g", "a", [3, 2, 1])
+    assert seed != derive_channel_seed(b"other-seed", "g", "a", [1, 2, 3])
+    assert seed != derive_channel_seed(b"group-seed", "g", "b", [1, 2, 3])
+    assert seed != derive_channel_seed(b"group-seed", "h", "a", [1, 2, 3])
+    assert seed != derive_channel_seed(b"group-seed", "g", "a", [1, 2])
 
 
 def test_key_material_validation():

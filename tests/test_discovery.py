@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from lcmsec import crypto, discovery, gka
 from lcmsec.discovery import (ChainVerdicts, CommitResult, DiscoveryDriver,
-                              DiscoveryState, Phase, T_SENTINEL,
+                              DiscoveryState, Member, Phase, T_SENTINEL,
                               assign_sender_ids, compare, merge_max)
 from lcmsec.ecgroup import P256, P256Group
 from lcmsec.errors import NotAuthorized
@@ -34,14 +34,14 @@ _group_counter = itertools.count()
 
 @pytest.fixture
 def make_drivers(member_factory, roots):
-    def build(uids, channel="", seed_base=1, group=None):
+    def build(uids, seed_base=1, group=None):
         group = group or f"239.77.{next(_group_counter)}.1:7667"
         drivers = []
         for uid in uids:
             cert, key = member_factory(group, ("*",), uid=uid)
             ident = LocalIdentity(uid=uid, cert=cert, key=key)
             drivers.append(DiscoveryDriver(
-                LCMDomain(group, channel), ident, ChainVerdicts(roots),
+                LCMDomain(group, ""), ident, ChainVerdicts(roots),
                 random.Random(seed_base * 1000 + uid)))
         return drivers
     return build
@@ -92,8 +92,8 @@ def run_network(drivers, now=0.0, horizon=60.0, join=True, sent=None):
 
 def state(pool, p_idx, j_idx, t):
     return DiscoveryState(
-        participants={i + 1: pool[i] for i in p_idx},
-        joining={i + 1: pool[i] for i in j_idx},
+        participants={i + 1: Member(pool[i]) for i in p_idx},
+        joining={i + 1: Member(pool[i]) for i in j_idx},
         t_ms=t)
 
 
@@ -966,15 +966,14 @@ def assert_paced(start, times, intervals):
                                                                  intervals)
 
 
-@pytest.mark.parametrize("channel", ["", "chatter"])
 def test_view_gossip_doubles_while_the_view_holds(make_drivers,
-                                                  member_factory, channel):
+                                                  member_factory):
     # Trickle (RFC 6206): a gathering gossips its view at VIEW_GOSSIP, and
     # the interval doubles after every tick at which view and floor held,
     # up to VIEW_GOSSIP_MAX; a changed floor or view drops it back at once.
     # Driver a answers each JOIN as the join's first representative, and
     # that answer counts as its tick
-    a, b = make_drivers([1, 2], channel=channel)
+    a, b = make_drivers([1, 2])
     t = run_network([a, b])
     base, cap = discovery.VIEW_GOSSIP, discovery.VIEW_GOSSIP_MAX
     assert cap == 4 * base
@@ -1049,7 +1048,7 @@ def committed_join(make_drivers):
 def answers(envs):
     """The joiners each view in ``envs`` lists."""
     return [sorted(PeerCertificate.from_der(der).uid_for_group(e.group)
-                   for der in parse_join_response_payload(e.payload)[2])
+                   for der, _ in parse_join_response_payload(e.payload)[2])
             for e in envs if e.kind is MsgKind.JOIN_RESPONSE]
 
 
@@ -1239,17 +1238,23 @@ def test_untrusted_chain_is_not_remembered(make_drivers, tmp_path,
     assert d.stats["untrusted_cert"] == 3
 
 
-def test_chain_verdict_shared_but_grants_stay_per_scope(member_factory, roots,
-                                                        chain_calls):
-    group = f"239.77.{next(_group_counter)}.1:7667"
-    cert, key = member_factory(group, ("*",), 1)
+def test_chain_verdict_shared_but_grants_stay_per_scope(ca, member_factory,
+                                                        roots, chain_calls):
+    # two gathering scopes share one verdict per certificate, but each
+    # checks its own grant; channel grants are the ring's to check
+    # (test_node.py::test_channel_rings_follow_the_group_commit)
+    groups = [f"239.77.{next(_group_counter)}.1:7667" for _ in range(2)]
+    key = ec.generate_private_key(ec.SECP256R1())
+    cert = PeerCertificate(ca.issue(
+        [DomainUrn(group=g, channel="*", id=1) for g in groups],
+        key.public_key()))
     ident = LocalIdentity(uid=1, cert=cert, key=key)
     chains, rng = ChainVerdicts(roots), random.Random(1)
-    granted, other = [DiscoveryDriver(LCMDomain(group, ch), ident, chains, rng)
-                      for ch in ("a", "b")]
+    granted, other = [DiscoveryDriver(LCMDomain(g, ""), ident, chains, rng)
+                      for g in groups]
     for d in (granted, other):
         d.initiate_join(0.0)
-    peer_cert, peer_key = member_factory(group, ("a",), 2)
+    peer_cert, peer_key = member_factory(groups[0], ("*",), 2)
     for d in (granted, other):
         for _ in range(3):
             assert d.handle(signed_join(d.scope, peer_cert, peer_key, 900),
@@ -1261,7 +1266,7 @@ def test_chain_verdict_shared_but_grants_stay_per_scope(member_factory, roots,
     assert other.stats["unauthorized_cert"] == 3
     # so in the scope it has no grant for, the peer stays an unknown signer
     round1 = ManagementEnvelope(
-        kind=MsgKind.GKA_ROUND1, group=group, channel="b", payload=b"",
+        kind=MsgKind.GKA_ROUND1, group=groups[1], channel="", payload=b"",
         signer_ref=peer_cert.fingerprint, signature=b"")
     assert other.handle(round1, 0.2) == []
     assert other.stats["unknown_gka_signer"] == 1
@@ -1445,8 +1450,8 @@ def forged_views(a, b, cb2, d):
     def view(participants, joiners, signer=b.identity):
         return sign_envelope(MsgKind.JOIN_RESPONSE, scope, signer,
                              encode_join_response_payload(
-                                 t, [(u, c.der) for u, c in participants],
-                                 [(u, c.der) for u, c in joiners], 0))
+                                 t, [(u, c.der, ()) for u, c in participants],
+                                 [(u, c.der, ()) for u, c in joiners], 0))
 
     honest = view([], [(1, ca_), (2, cb)])
     return {
@@ -1459,7 +1464,7 @@ def forged_views(a, b, cb2, d):
             honest, payload=honest.payload[:-1]),
         "malformed_response/cert": sign_envelope(
             MsgKind.JOIN_RESPONSE, scope, b.identity,
-            encode_join_response_payload(t, [], [(2, b"\x30\x00")], 0)),
+            encode_join_response_payload(t, [], [(2, b"\x30\x00", ())], 0)),
         # one uid twice among the joiners
         "bad_member_cert": view([], [(1, ca_), (2, cb), (2, cb)]),
         # a participant re-joins under another certificate

@@ -360,7 +360,8 @@ def test_committed_group_answers_a_join_once_per_scope(
     # ran out before the first answer reached it: 4.8 + 5.7 views per join
     # at N = 12 and 10 + 13.3 at N = 40 (group + channel scope). Only the
     # join's representatives, incumbents 1, 2 and n, answer now, one slot
-    # apart, and each skips its answer once it heard an earlier one.
+    # apart, and each skips its answer once it heard an earlier one. The
+    # channel scope sends nothing: its ring is the group's.
     net, runner, nodes = make_cluster(n, channels=("ch0",), seed=3,
                                       delay_mu=0.025, delay_sigma=0.005)
     runner.start_all()
@@ -377,14 +378,13 @@ def test_committed_group_answers_a_join_once_per_scope(
     assert len({nd.channel_seed("ch0") for nd in everyone}) == 1
     uid_of = {nd.identity.cert.fingerprint: nd.identity.uid
               for nd in everyone}
-    for scope in ("", "ch0"):
-        kinds = [(e.kind, uid_of[e.signer_ref]) for e in sent
-                 if e.channel == scope]
-        views = [uid for kind, uid in kinds
-                 if kind is wire.MsgKind.JOIN_RESPONSE]
-        assert kinds[0] == (wire.MsgKind.JOIN, n + 1)
-        assert len(views) <= 3, (scope, views)
-        assert views[0] == 1
+    kinds = [(e.kind, uid_of[e.signer_ref]) for e in sent]
+    views = [uid for kind, uid in kinds
+             if kind is wire.MsgKind.JOIN_RESPONSE]
+    assert kinds[0] == (wire.MsgKind.JOIN, n + 1)
+    assert len(views) <= 3, views
+    assert views[0] == 1
+    assert {e.channel for e in sent} == {""}
     assert failed_agreements(everyone) == 0
 
 
@@ -488,7 +488,8 @@ def test_udp_pair_sends_each_round_once(member_factory, roots, monkeypatch):
     finally:
         for r in runners:
             r.endpoint.close()
-    once = {(ch, kind): 1 for ch in ("", "chatter")
+    # the channel's seed derives from the group's: it runs no agreement
+    once = {("", kind): 1
             for kind in (wire.MsgKind.GKA_ROUND1, wire.MsgKind.GKA_ROUND2)}
     assert [r.endpoint.rounds for r in runners] == [once, once]
     assert failed_agreements([a, b]) == 0
@@ -586,8 +587,9 @@ def test_start_refuses_a_lapsed_own_certificate(make_cluster, ca):
 def test_own_certificate_lapsed_before_the_group_commit(make_cluster,
                                                         member_factory):
     # b's certificate lapses after a holds b's round 2 but before b
-    # completes the group agreement: b commits the group, and its channel
-    # scope stays idle instead of raising out of the commit
+    # completes the group agreement: b commits the group and derives the
+    # channel's seed from it, as a does, without raising out of the commit
+    # or sending anything
     group = fresh_group()
     cert, key = member_factory(group, ("*",), uid=1)
     cert_b, key_b = member_factory(group, ("*",), uid=2, days=60 / 86400)
@@ -606,16 +608,18 @@ def test_own_certificate_lapsed_before_the_group_commit(make_cluster,
                 held.append(dg)       # b completes only once it lapsed
                 continue
             queue += [(dst, out) for out in dst.handle_datagram(dg, now)]
-        now = min(n.next_wakeup() for n in (a, b))
+        # a committed node with every channel keyed has no timer left
+        now = min(w for w in (n.next_wakeup() for n in (a, b))
+                  if w is not None)
         queue = [(n, out) for n in (a, b) for out in n.on_timer(now)]
     assert b.group_seed is None and held
     lapsed = (cert_b.cert.not_valid_after_utc
               - b.drivers[""].chains.utc(0.0)).total_seconds() + 0.01
     out = b.handle_datagram(held[0], lapsed)
     assert b.group_seed == a.group_seed
-    assert out == []                   # no channel JOIN under a lapsed cert
-    assert b.drivers["chatter"].phase is discovery.Phase.IDLE
-    assert b.drivers["chatter"].stats["own_cert_expired"] == 1
+    assert out == []
+    assert b.channel_seed("chatter") == a.channel_seed("chatter")
+    assert b.ready
 
 
 def test_member_certificate_lapses_in_a_running_group(make_cluster,
@@ -714,3 +718,291 @@ def test_identical_seeds_reproduce_runs(make_cluster, member_factory):
 
     counts_c, seed_c = _run_once(make_cluster, identities, group, seed=22)
     assert seed_c != seed_a     # fresh randomness, fresh key material
+
+
+# --------------------------------------- channel keys from the group commit
+
+
+def management_tap(net):
+    """Counts the control datagrams ``net`` carries by (kind, scope, uid
+    of the signer's certificate)."""
+    sent = Counter()
+
+    def tap(_, dg):
+        if wire.peek_magic(dg) == wire.MAGIC_MANAGEMENT:
+            env = wire.decode_management(dg)
+            sent[env.kind, env.channel, env.signer_ref] += 1
+
+    net.taps.append(tap)
+    return sent
+
+
+def by_scope(sent, uid_of):
+    """{(kind, scope): senders' uids} of a management tap's counts."""
+    out = {}
+    for (kind, scope, ref), _ in sent.items():
+        out.setdefault((kind, scope), set()).add(uid_of[ref])
+    return out
+
+
+def test_no_channel_scope_sends_anything(make_cluster, member_factory,
+                                         roots):
+    # a lossless cold start of 12 nodes on 3 channels and one join: every
+    # channel's ring is the group's, so its seed derives from the group
+    # seed and no channel scope sends a JOIN, a view or a round
+    channels = ("ch0", "ch1", "ch2")
+    net, runner, nodes = make_cluster(12, channels=channels, seed=4,
+                                      delay_mu=0.025, delay_sigma=0.005)
+    sent = management_tap(net)
+    runner.start_all()
+    assert settle(runner, nodes)
+    late = add_joiner(runner, nodes, member_factory, roots, 13, seed=4)
+    everyone = nodes + [late]
+    assert settle(runner, everyone, t_max=net.now + 30.0)
+    kinds = Counter()
+    for (kind, scope, _), n in sent.items():
+        kinds[kind, scope] += n
+    assert {scope for _, scope in kinds} == {""}
+    assert kinds[wire.MsgKind.JOIN, ""] >= 13
+    assert kinds[wire.MsgKind.GKA_ROUND2, ""] > 0
+    for ch in channels:
+        assert len({n.channel_seed(ch) for n in everyone
+                    if ch in n.channels}) == 1
+    assert failed_agreements(everyone) == 0
+
+
+def test_channel_rings_follow_the_group_commit(member_factory, roots,
+                                               monkeypatch):
+    # ch1's ring is a proper part of the group: members 1-4 list it. 5 does
+    # not, and 6 lists it without the grant. So ch1 runs its own agreements:
+    # a fresh ring at the cold start, a join ring with the previous seed
+    # when 7 joins, and a fresh ring again once 2 restarts without ch1
+    monkeypatch.setattr(session, "aead_seal", IvLog().seal)
+    group = fresh_group()
+    identities = [LocalIdentity(uid, *member_factory(
+        group, ("ch0",) if uid == 6 else ("*",), uid=uid))
+        for uid in range(1, 8)]
+    net = SimNet(seed=6, delay_mu=0.002, delay_sigma=0.0004)
+    runner = SimRunner(net)
+    nodes = []
+    for ident in identities[:6]:
+        nodes.append(LcmsecNode(
+            ident, roots, group,
+            ("ch0",) if ident.uid in (5, 6) else ("ch0", "ch1"),
+            random.Random(ident.uid)))
+        runner.add(nodes[-1])
+    # 6 claims ch1 in its JOINs and views, as a member that lies would
+    nodes[5].drivers[""].member = discovery.Member(
+        identities[5].cert, ("ch0", "ch1"))
+    sent = management_tap(net)
+    uid_of = {i.cert.fingerprint: i.uid for i in identities}
+    runner.start_all()
+    assert settle(runner, nodes)
+
+    def ch1(members):
+        return {n.identity.uid: n for n in members if "ch1" in n.channels}
+
+    def check(members):
+        ring = ch1(members)
+        assert len({n.channel_seed("ch1") for n in ring.values()}) == 1
+        for n in members:
+            if n.identity.uid not in ring:
+                assert "ch1" not in n.drivers
+                assert n.session.keys.slots("ch1", net.now) == []
+        for i, n in ring.items():
+            runner.publish(nodes.index(n), "ch1", b"from %d" % i)
+        runner.run_until(net.now + 0.5)
+        for i, n in ring.items():
+            got = set(n.take_deliveries())
+            assert got == {("ch1", b"from %d" % j) for j in ring if j != i}
+        assert failed_agreements(members) == 0
+        rounds = by_scope(sent, uid_of)
+        sent.clear()
+        return rounds
+
+    rounds = check(nodes)
+    # a fresh ring of 1-4: 5 and 6 neither send nor hold anything of ch1
+    assert rounds[wire.MsgKind.GKA_ROUND1, "ch1"] == {1, 2, 3, 4}
+    seed = nodes[0].channel_seed("ch1")
+
+    # 7 lists ch1: a join ring whose first three incumbents send, and 3
+    # follows from the previous seed
+    late = LcmsecNode(identities[6], roots, group, ("ch0", "ch1"),
+                      random.Random(7))
+    ep = runner.add(late)
+    for out in late.start(net.now):
+        ep.send(out)
+    nodes.append(late)
+    assert settle(runner, nodes, t_max=net.now + 30.0)
+    finished = nodes[2].drivers["ch1"]._finished
+    assert finished.passive and finished.config.previous_seed == seed
+    assert finished.config.uids == [1, 2, 4, 7]
+    rounds = check(nodes)
+    assert rounds[wire.MsgKind.GKA_ROUND1, "ch1"] == {1, 2, 4, 7}
+    assert nodes[0].channel_seed("ch1") != seed
+    seed = nodes[0].channel_seed("ch1")
+
+    # 2 restarts without ch1 and joins again: 1, 3, 4 and 7 agree afresh,
+    # so the seed 2 held does not lead to the next one
+    reborn = LcmsecNode(identities[1], roots, group, ("ch0",),
+                        random.Random(22))
+    runner._nodes[1] = (reborn, runner._nodes[1][1])
+    nodes[1] = reborn
+    for out in reborn.start(net.now):
+        runner._nodes[1][1].send(out)
+    assert settle(runner, nodes, t_max=net.now + 30.0)
+    rounds = check(nodes)
+    assert rounds[wire.MsgKind.GKA_ROUND1, "ch1"] == {1, 3, 4, 7}
+    assert nodes[0].channel_seed("ch1") != seed
+
+
+def test_members_handed_different_rings_hold_different_keys(make_cluster):
+    net, runner, nodes = make_cluster(3, seed=9)
+    runner.start_all()
+    assert settle(runner, nodes)
+    node = nodes[0]
+    result = node._channel_results["chatter"]
+    assert set(result.members) == {1, 2, 3}
+    narrower = dataclasses.replace(result, view=discovery.DiscoveryState(
+        participants={u: m for u, m in result.members.items() if u != 3}))
+    assert node._channel_material("chatter", narrower).key != \
+        node._channel_material("chatter", result).key
+    # and a seed derived for a ring of every member binds that ring too
+    group = node._group_result
+    assert crypto.derive_channel_seed(group.seed, node.group, "chatter",
+                                      [1, 2]) != result.seed
+
+
+def names_taking(total):
+    """Sorted channel names whose NUL-joined encoding takes ``total`` B."""
+    names, left = [], total
+    while left:
+        if names:
+            left -= 1
+        size = min(255, left)
+        if left - size == 1:
+            size -= 1               # leave a separator and one byte
+        names.append(f"{len(names):04d}".ljust(size, "x") if size >= 4
+                     else "~" * size)
+        left -= size
+    return names
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_view_never_outgrows_one_datagram(make_cluster, member_factory,
+                                          past):
+    # a joiner's entry that would take the gathering view past one UDP
+    # datagram is refused and counted; one byte less still fits exactly
+    net, runner, (a,) = make_cluster(1)
+    runner.start_all()
+    own = a.drivers[""].member
+    cert, key = member_factory(a.group, ("*",), uid=2)
+    room = wire.MAX_DATAGRAM - wire.view_size(
+        a.group, "", wire.member_size(own.cert.der, own.channels))
+    channels = names_taking(room - wire.member_size(cert.der, ()) + past)
+    assert wire.member_size(cert.der, channels) == room + past
+    join = gka.sign_envelope(
+        wire.MsgKind.JOIN, a.drivers[""].scope,
+        LocalIdentity(2, cert, key),
+        wire.encode_join_payload(int(net.now * 1000) + 500, cert.der,
+                                 channels))
+    datagram = wire.encode_management(join)
+    assert len(datagram) <= wire.MAX_DATAGRAM
+    out = a.handle_datagram(datagram, net.now)
+    t = a.next_wakeup()
+    out += a.on_timer(t)
+    for dg in out:
+        assert len(dg) <= wire.MAX_DATAGRAM
+        net.send(0, dg)
+    views = [dg for dg in out
+             if wire.decode_management(dg).kind is wire.MsgKind.JOIN_RESPONSE]
+    if past:
+        assert a.drivers[""].stats["view_full"] == 1
+        assert set(a.drivers[""].state.joining) == {1}
+        assert views == []
+    else:
+        assert "view_full" not in a.drivers[""].stats
+        assert set(a.drivers[""].state.joining) == {1, 2}
+        assert [len(v) > wire.MAX_DATAGRAM - 3 for v in views] == [True]
+    # nothing raises out of the node while it gathers on
+    for _ in range(20):
+        t = a.next_wakeup()
+        for dg in a.on_timer(t):
+            net.send(0, dg)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_members_rekey_past_a_lapsed_member_without_a_failure(
+        make_cluster, member_factory, n, seed):
+    # the last member's certificate lapses in virtual time while the group
+    # runs. Every member leaves it out of the views it merges, gossips and
+    # freezes, so the remaining ones re-key at the first try: before, the
+    # views that still listed it were refused whole, and the re-key cost
+    # every remaining member a failed agreement
+    group = fresh_group()
+    identities = []
+    for uid in range(1, n + 1):
+        days = 3 / 86400 if uid == n else 365
+        cert, key = member_factory(group, ("*",), uid=uid, days=days)
+        identities.append(LocalIdentity(uid, cert, key))
+    net, runner, nodes = make_cluster(n, seed=seed, group=group,
+                                      identities=identities)
+    runner.start_all()
+    assert settle(runner, nodes, t_max=2.0)
+    old = nodes[0].group_seed
+    runner.run_until(4.0)
+    t0 = net.now
+    nodes[0].drivers[""].force_rekey(t0)
+    rest = nodes[:-1]
+
+    def rekeyed():
+        seeds = {nd.group_seed for nd in rest}
+        return len(seeds) == 1 and old not in seeds and all(
+            nd.ready for nd in rest)
+
+    assert runner.run_while(lambda: not rekeyed(), t0 + 10.0, step=0.01)
+    assert net.now - t0 < 3.54
+    assert failed_agreements(rest) == 0
+    assert len({nd.channel_seed("chatter") for nd in rest}) == 1
+
+
+def keys_agree(nodes) -> bool:
+    """Every node ready, with one group seed and one seed per channel."""
+    return all(n.ready for n in nodes) and \
+        len({n.group_seed for n in nodes}) == 1 and all(
+            len({n.channel_seed(ch) for n in nodes if ch in n.channels}) == 1
+            for ch in {ch for n in nodes for ch in n.channels})
+
+
+@pytest.mark.parametrize("seed", [1, 9, 21])
+def test_lossy_join_into_a_channel_of_part_of_the_group(member_factory,
+                                                        roots, seed):
+    # at 10 % loss, 8 nodes cold-start on "all", odd uids on "odd" as well,
+    # and a ninth joins both: "odd" runs its own agreements, a fresh ring
+    # and then a join ring, and failed agreements must not keep the group
+    # from settling. These seeds needed failed agreements in a sweep.
+    group = fresh_group()
+    net = SimNet(seed=seed, loss=0.10, delay_mu=0.025, delay_sigma=0.005)
+    runner = SimRunner(net)
+
+    def add(uid):
+        cert, key = member_factory(group, ("*",), uid=uid)
+        node = LcmsecNode(LocalIdentity(uid, cert, key), roots, group,
+                          ("all", "odd") if uid % 2 else ("all",),
+                          random.Random(seed * 1000 + uid))
+        ep = runner.add(node)
+        return node, ep
+
+    nodes = [add(uid)[0] for uid in range(1, 9)]
+    runner.start_all()
+    assert runner.run_while(lambda: not keys_agree(nodes), 30.0)
+    late, ep = add(9)
+    for out in late.start(net.now):
+        ep.send(out)
+    nodes.append(late)
+    assert runner.run_while(lambda: not keys_agree(nodes), net.now + 30.0)
+    odd = [n for n in nodes if "odd" in n.channels]
+    assert [n.identity.uid for n in odd] == [1, 3, 5, 7, 9]
+    assert all(n.session.keys.slots("odd", net.now) == []
+               for n in nodes if n not in odd)

@@ -69,6 +69,46 @@ def test_management_golden():
         + bytes(range(32)).hex() + "00000002" "3000")
 
 
+def test_join_payload_golden():
+    # deadline, certificate, then the channels sorted and without repeats
+    payload = encode_join_payload(0x0102, b"\x30\x01", ("ch1", "a", "ch1"))
+    assert payload.hex() == (
+        "0000000000000102" "00000002" "3001" "00000005" "61" "00" "636831")
+    assert parse_join_payload(payload) == (0x0102, b"\x30\x01",
+                                           ("a", "ch1"))
+    # a JOIN that lists no channel
+    assert encode_join_payload(7, b"\x30", ()).hex() == (
+        "0000000000000007" "00000001" "30" "00000000")
+
+
+def test_view_payload_golden():
+    # deadline, participants and joiners by uid, each with its channels,
+    # then the instance floor
+    payload = encode_join_response_payload(
+        9, [(2, b"\x30\x02", ("b",)), (1, b"\x30\x01", ())],
+        [(5, b"\x30\x05", ("a", "b"))], 3)
+    assert payload.hex() == (
+        "0000000000000009"
+        "00000002" "00000002" "3001" "00000000" "00000002" "3002"
+        "00000001" "62"
+        "00000001" "00000002" "3005" "00000003" "61" "00" "62"
+        "0000000000000003")
+    assert parse_join_response_payload(payload) == (
+        9, [(b"\x30\x01", ()), (b"\x30\x02", ("b",))],
+        [(b"\x30\x05", ("a", "b"))], 3)
+
+
+@pytest.mark.parametrize("names", [
+    b"b\x00a", b"a\x00a", b"\x00", b"a\x00", b"\x00a", b"a\x00\x00b",
+    b"\xff", b"x" * 256])
+def test_channel_lists_parse_only_canonical(names):
+    # unsorted, repeated, empty, non-ASCII or overlong names
+    payload = (encode_join_payload(1, b"\x30")[:-4]
+               + len(names).to_bytes(4, "big") + names)
+    with pytest.raises(NonCanonical):
+        parse_join_payload(payload)
+
+
 def test_plain_golden():
     data = encode_plain_lcm("c", 0, b"")
     assert data.hex() == "4c433032" "00000000" "63" "00"
@@ -635,8 +675,9 @@ def test_signed_region_covers_kind_scope_payload():
 
 
 def test_join_payload_round_trip():
-    payload = encode_join_payload(12345678, b"\x30\x82fakecert")
-    assert parse_join_payload(payload) == (12345678, b"\x30\x82fakecert")
+    payload = encode_join_payload(12345678, b"\x30\x82fakecert", ("ch0",))
+    assert parse_join_payload(payload) == (12345678, b"\x30\x82fakecert",
+                                           ("ch0",))
     with pytest.raises(NonCanonical):
         parse_join_payload(payload + b"\x00")
     with pytest.raises(Truncated):
@@ -644,16 +685,16 @@ def test_join_payload_round_trip():
 
 
 def test_join_response_sorts_cert_sets():
-    p = [(2, b"certB"), (1, b"certA")]
-    j = [(9, b"certJ")]
+    p = [(2, b"certB", ("x",)), (1, b"certA", ())]
+    j = [(9, b"certJ", ("x", "y"))]
     a = encode_join_response_payload(777, p, j, last_instance_id=4)
     b = encode_join_response_payload(777, list(reversed(p)), j,
                                      last_instance_id=4)
     assert a == b
     t, p_out, j_out, last = parse_join_response_payload(a)
     assert (t, last) == (777, 4)
-    assert p_out == [b"certA", b"certB"]
-    assert j_out == [b"certJ"]
+    assert p_out == [(b"certA", ()), (b"certB", ("x",))]
+    assert j_out == [(b"certJ", ("x", "y"))]
 
 
 def test_join_response_empty_sets():
