@@ -274,6 +274,10 @@ class DiscoveryDriver:
         #: (view, floor) another node sent authenticated since the last
         #: gossip tick; the next tick is skipped while they are still ours
         self._echo: tuple[DiscoveryState, int] | None = None
+        #: (state, floor, view payload) last encoded; states never change
+        #: once built, so the state is matched by identity
+        self._view_encoding: tuple[DiscoveryState | None, int, bytes] = (
+            None, 0, b"")
         #: the last completed agreement, whose rounds help stragglers
         self._finished: GkaSession | None = None
         self._next_help = 0.0              # next time we may answer one
@@ -467,57 +471,46 @@ class DiscoveryDriver:
 
     def _handle_join_response(self, env: ManagementEnvelope, now: float
                               ) -> list[ManagementEnvelope]:
-        try:
-            t_ms, p_raw, j_raw, floor = parse_join_response_payload(
-                env.payload)
-        except (Truncated, NonCanonical, ValueError):
-            return self._drop("malformed_response")
-        if self.phase in (Phase.AGREEING, Phase.IDLE):
-            # the view merge must wait, but an authentic floor is worth
-            # recording now so the next freeze picks an unused instance id
-            signer = self._known.get(env.signer_ref)
-            if floor > self.floor and signer is not None:
-                if self._admit(signer[1], now) is None or \
-                        not self._authentic(env, signer[1]):
-                    return []       # _admit or the gate counted why
-                self.floor = floor
-            return self._drop("response_ignored")
-        try:
-            p_in = [Member(PeerCertificate.from_der(d), ch) for d, ch in p_raw]
-            j_in = [Member(PeerCertificate.from_der(d), ch) for d, ch in j_raw]
-        except (Truncated, NonCanonical, MalformedUrn, ValueError):
-            return self._drop("malformed_response")
+        own = self.phase in (Phase.GATHERING, Phase.COMMITTED)
+        if own:
+            self._prune(now)
+            # most views a node hears are its own view and floor, byte for
+            # byte: that view is self.state, with nothing to parse or admit
+            own = env.payload == self._view_payload()
+        if own:
+            t_ms, floor = self.state.t_ms, self.floor
+        else:
+            try:
+                t_ms, p_raw, j_raw, floor = parse_join_response_payload(
+                    env.payload)
+            except (Truncated, NonCanonical, ValueError):
+                return self._drop("malformed_response")
+            if self.phase in (Phase.AGREEING, Phase.IDLE):
+                # the view merge must wait, but an authentic floor is worth
+                # recording now so the next freeze picks an unused id
+                signer = self._known.get(env.signer_ref)
+                if floor > self.floor and signer is not None:
+                    if self._admit(signer[1], now) is None or \
+                            not self._authentic(env, signer[1]):
+                        return []       # _admit or the gate counted why
+                    self.floor = floor
+                return self._drop("response_ignored")
         if self.phase is Phase.COMMITTED and t_ms < self._now_ms(now):
             # describes a gathering that already resolved; reacting to a
             # replay here would drag a settled group into pointless re-keys
             return self._drop("stale_response")
-        participants: dict[int, Member] = {}
-        joining: dict[int, Member] = {}
-        for members, target in ((p_in, participants), (j_in, joining)):
-            for member in members:
-                if self._lapsed(member.cert, now):
-                    continue            # a lapsed member leaves the view
-                uid = self._admit(member.cert, now)
-                if uid is None or uid in target:
-                    return self._drop("bad_member_cert")
-                if (target is joining and uid in participants
-                        and participants[uid].cert.fingerprint
-                        != member.cert.fingerprint):
-                    # a participant may re-join, but only as itself
-                    return self._drop("bad_member_cert")
-                target[uid] = member
-            if list(target) != sorted(target):
-                return self._drop("noncanonical_response")
+        incoming = self.state if own else self._parse_view(t_ms, p_raw,
+                                                             j_raw, now)
+        if incoming is None:
+            return []                   # _parse_view counted why
         signer = self._known.get(env.signer_ref)
         if signer is None:
             return self._drop("unknown_responder")
         # the responder must be in the view it advertises, as itself
-        listed = participants.get(signer[0]) or joining.get(signer[0])
+        listed = incoming.participants.get(signer[0]) or \
+            incoming.joining.get(signer[0])
         if listed is None or listed.cert.fingerprint != env.signer_ref:
             return self._drop("foreign_responder")
-        incoming = DiscoveryState(participants=participants, joining=joining,
-                                  t_ms=t_ms)
-        self._prune(now)
         merged = self._keep_self(merge_max(self.state, incoming))
         if merged is not incoming and merged is not self.state and \
                 self._view_bytes(merged) > MAX_DATAGRAM:
@@ -549,6 +542,39 @@ class DiscoveryDriver:
                 self._gather(now)
         self._note_view(incoming, floor, signer[0])
         return []
+
+    def _parse_view(self, t_ms: int, p_raw, j_raw, now: float
+                    ) -> DiscoveryState | None:
+        """The view a response advertises, with every member admitted and
+        lapsed ones left out; None once a drop is counted."""
+        try:
+            p_in = [Member(PeerCertificate.from_der(d), ch) for d, ch in p_raw]
+            j_in = [Member(PeerCertificate.from_der(d), ch) for d, ch in j_raw]
+        except (Truncated, NonCanonical, MalformedUrn, ValueError):
+            self._drop("malformed_response")
+            return None
+        participants: dict[int, Member] = {}
+        joining: dict[int, Member] = {}
+        for members, target in ((p_in, participants), (j_in, joining)):
+            for member in members:
+                if self._lapsed(member.cert, now):
+                    continue            # a lapsed member leaves the view
+                uid = self._admit(member.cert, now)
+                if uid is None or uid in target:
+                    self._drop("bad_member_cert")
+                    return None
+                if (target is joining and uid in participants
+                        and participants[uid].cert.fingerprint
+                        != member.cert.fingerprint):
+                    # a participant may re-join, but only as itself
+                    self._drop("bad_member_cert")
+                    return None
+                target[uid] = member
+            if list(target) != sorted(target):
+                self._drop("noncanonical_response")
+                return None
+        return DiscoveryState(participants=participants, joining=joining,
+                              t_ms=t_ms)
 
     def _note_view(self, view: DiscoveryState, floor: int,
                    signer: int) -> None:
@@ -807,16 +833,25 @@ class DiscoveryDriver:
         self._arm_gossip(now, min(2 * self._gossip_interval, VIEW_GOSSIP_MAX))
         return [self._view_response()]
 
+    def _view_payload(self) -> bytes:
+        """This node's view and floor as a view payload, encoded once per
+        (state, floor) pair."""
+        st, floor = self.state, self.floor
+        cached = self._view_encoding
+        if cached[0] is not st or cached[1] != floor:
+            cached = self._view_encoding = (st, floor, (
+                encode_join_response_payload(
+                    st.t_ms,
+                    [(u, m.cert.der, m.channels)
+                     for u, m in st.participants.items()],
+                    [(u, m.cert.der, m.channels)
+                     for u, m in st.joining.items()],
+                    floor)))
+        return cached[2]
+
     def _view_response(self) -> ManagementEnvelope:
-        payload = encode_join_response_payload(
-            self.state.t_ms,
-            [(u, m.cert.der, m.channels)
-             for u, m in self.state.participants.items()],
-            [(u, m.cert.der, m.channels)
-             for u, m in self.state.joining.items()],
-            self.floor)
         return sign_envelope(MsgKind.JOIN_RESPONSE, self.scope, self.identity,
-                             payload)
+                             self._view_payload())
 
     def _gather(self, now: float) -> None:
         """Gather towards the view's deadline, gossiping the view."""

@@ -12,13 +12,21 @@ multiplication and point decoding run in OpenSSL through ``cryptography``:
 - decoding a SEC1 point is OpenSSL's ``from_encoded_point``, which checks
   the range and the curve equation.
 
-So no Python code branches on the bits of a secret scalar. What stays in
-Python is the affine addition and negation that the round-2 fold needs, the
-sign test above, and the encoding; these handle derived points that are
-secret too, and are not constant-time. The curve is NIST P-256: prime
-order, cofactor 1, and the same curve the certificate signatures use.
+So no Python code branches on the bits of a secret scalar. Point addition
+stays in Python, and it handles derived points that are secret too. It is
+the complete projective addition of Renes, Costello and Batina ("Complete
+addition formulas for prime order elliptic curves", EUROCRYPT 2016,
+Algorithm 4 for a = -3): one straight-line formula for generic points,
+doublings, inverses and the identity, with no exceptional case. The one
+inversion back to affine form is blinded by a random factor, the y-sign
+pick above is an arithmetic select, and so the Python code has no
+exceptional cases or secret-dependent branches. It is not constant time:
+CPython's integers take operand-dependent time. The curve is NIST P-256:
+prime order, cofactor 1, and the same curve the certificate signatures use.
 
-Elements are affine ``(x, y)`` tuples with ``None`` for the identity.
+Elements are affine ``(x, y)`` tuples with ``None`` for the identity; a
+sum of many points stays in projective ``(X, Y, Z)`` form, with x = X/Z and
+y = Y/Z and the identity at Z = 0, until one inversion ends it.
 Serialization is SEC1 compressed (33 bytes), with the single byte ``0x00``
 for the identity.
 """
@@ -33,6 +41,7 @@ from cryptography.hazmat.primitives.asymmetric import ec
 from .errors import InvalidElement
 
 Point = Optional[Tuple[int, int]]
+Projective = Tuple[int, int, int]
 
 # NIST P-256 (secp256r1) domain parameters.
 P256_P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
@@ -73,27 +82,57 @@ class P256Group:
     order = P256_ORDER
     generator: Point = (P256_GX, P256_GY)
 
-    # -- affine arithmetic ---------------------------------------------
+    # -- point addition ----------------------------------------------
 
     def op(self, pt1: Point, pt2: Point) -> Point:
         """Group operation (point addition)."""
-        if pt1 is None:
-            return pt2
-        if pt2 is None:
-            return pt1
+        return self.affine(self.add(self.projective(pt1),
+                                    self.projective(pt2)))
+
+    def projective(self, pt: Point) -> Projective:
+        """``pt`` as (X, Y, Z) with Z = 1; the identity is (0, 1, 0)."""
+        return (0, 1, 0) if pt is None else (*pt, 1)
+
+    def add(self, pt1: Projective, pt2: Projective) -> Projective:
+        """Complete addition in projective form (RCB Algorithm 4, a = -3,
+        with its additions merged into fewer reductions); every input pair
+        runs the same lines."""
+        p, b = self.p, self.b
+        x1, y1, z1 = pt1
+        x2, y2, z2 = pt2
+        t0 = x1 * x2 % p
+        t1 = y1 * y2 % p
+        t2 = z1 * z2 % p
+        t3 = ((x1 + y1) * (x2 + y2) - t0 - t1) % p
+        t4 = ((y1 + z1) * (y2 + z2) - t1 - t2) % p
+        y3 = ((x1 + z1) * (x2 + z2) - t0 - t2) % p
+        x3 = 3 * (y3 - b * t2)
+        z3 = t1 - x3
+        x3 = t1 + x3
+        t2 = 3 * t2
+        y3 = 3 * (b * y3 - t2 - t0)
+        t0 = 3 * t0 - t2
+        return ((t3 * x3 - t4 * y3) % p, (x3 * z3 + t0 * y3) % p,
+                (t4 * z3 + t3 * t0) % p)
+
+    def affine(self, pt: Projective) -> Point:
+        """``pt`` in affine form, by one inversion of Z blinded with a
+        random nonzero factor, so the inversion does not see Z itself."""
         p = self.p
-        x1, y1 = pt1
-        x2, y2 = pt2
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            # doubling
-            lam = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p) % p
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (lam * lam - x1 - x2) % p
-        y3 = (lam * (x1 - x3) - y1) % p
-        return (x3, y3)
+        x, y, z = pt
+        r = 1 + secrets.randbelow(p - 1)
+        zr = z * r % p
+        # Z = 0 is the identity: invert 1 instead and select None
+        zinv = pow(zr + (zr == 0), -1, p) * r % p
+        return ((x * zinv % p, y * zinv % p), None)[zr == 0]
+
+    def equal(self, pt1: Projective, pt2: Projective) -> bool:
+        """Whether two projective points are one point, by cross-multiplying
+        instead of inverting."""
+        p = self.p
+        x1, y1, z1 = pt1
+        x2, y2, z2 = pt2
+        return ((x1 * z2 - x2 * z1) % p, (y1 * z2 - y2 * z1) % p) == (0, 0)
 
     def inv(self, pt: Point) -> Point:
         """Group inverse (point negation)."""
@@ -126,9 +165,9 @@ class P256Group:
         x2 = int.from_bytes(key.exchange(_ECDH, _public_key(shifted)), "big")
         p = self.p
         gx, gy = kg
-        if (x2 + x + gx) * (gx - x) ** 2 % p != (gy - y) ** 2 % p:
-            y = p - y
-        return (x, y)
+        # an arithmetic select of -y where the law fails for +y
+        flip = ((x2 + x + gx) * (gx - x) ** 2 - (gy - y) ** 2) % p != 0
+        return (x, (y - 2 * flip * y) % p)
 
     # -- scalars ---------------------------------------------------------
 

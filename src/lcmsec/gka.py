@@ -24,7 +24,6 @@ import logging
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 
 from cryptography.hazmat.primitives.asymmetric import ec
 
@@ -307,17 +306,18 @@ class GkaSession:
             return
         if not self._keys_ready or len(self._y) < self._n:
             return
+        # the right keys, from this member's own around the ring, and their
+        # sum stay projective; the closure check cross-multiplies, and the
+        # seed takes the one inversion
         i, n = self.index, self._n
-        right_keys: list = [None] * n
-        right_keys[i] = self._kr
-        current = self._kr
+        current = total = P256.projective(self._kr)
         for k in range(1, n):
-            j = (i + k) % n
-            current = P256.op(self._y[j], current)
-            right_keys[j] = current
-        if right_keys[(i - 1) % n] != self._kl:
+            current = P256.add(P256.projective(self._y[(i + k) % n]),
+                               current)
+            total = P256.add(total, current)
+        # the last right key is the left neighbour's, which is our left key
+        if not P256.equal(current, P256.projective(self._kl)):
             self._fail("ring does not close: recovered left key differs")
             return
-        folded = reduce(P256.op, right_keys)
-        self.seed = P256.serialize(folded)
+        self.seed = P256.serialize(P256.affine(total))
         self.phase = GkaPhase.DONE

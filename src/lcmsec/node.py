@@ -40,6 +40,8 @@ from .session import DEFAULT_MTU, Session
 log = logging.getLogger(__name__)
 
 _MANAGEMENT_MAGIC = wire.MAGIC_MANAGEMENT.to_bytes(4, "big")
+#: marks a node's cached next wakeup as due for a fresh walk
+_STALE = object()
 
 
 class LcmsecNode:
@@ -70,6 +72,8 @@ class LcmsecNode:
         self._channel_results: dict[str, CommitResult] = {}
         self._deliveries: list[tuple[str, bytes]] = []
         self.stats = {"foreign_scope": 0}
+        #: the last next_wakeup, or _STALE once a driver's timers may move
+        self._wakeup: float | None | object = _STALE
 
     # -------------------------------------------------------------- lifecycle
 
@@ -81,6 +85,7 @@ class LcmsecNode:
         """
         for driver in self.drivers.values():
             authorize(self.identity.cert, driver.scope, driver.chains.utc(now))
+        self._wakeup = _STALE
         return self._encode(self.drivers[""].initiate_join(now))
 
     @property
@@ -124,11 +129,13 @@ class LcmsecNode:
         if driver is None:
             self.stats["foreign_scope"] += 1
             return []
+        self._wakeup = _STALE
         out = driver.handle(env, now)
         out.extend(self._pump_events(now))
         return self._encode(out)
 
     def on_timer(self, now: float) -> list[bytes]:
+        self._wakeup = _STALE
         out = []
         for driver in self.drivers.values():
             out.extend(driver.on_timer(now))
@@ -136,11 +143,17 @@ class LcmsecNode:
         return self._encode(out)
 
     def next_wakeup(self) -> float | None:
-        best = None
-        for d in self.drivers.values():
-            t = d.next_wakeup()
-            if t is not None and (best is None or t < best):
-                best = t
+        """The earliest timer of any scope. It is kept until a call that
+        can move a timer: ``start``, a management datagram, ``on_timer``
+        or a publish that forces a re-key. Data datagrams move none."""
+        best = self._wakeup
+        if best is _STALE:
+            best = None
+            for d in self.drivers.values():
+                t = d.next_wakeup()
+                if t is not None and (best is None or t < best):
+                    best = t
+            self._wakeup = best
         return best
 
     def take_deliveries(self) -> list[tuple[str, bytes]]:
@@ -165,6 +178,7 @@ class LcmsecNode:
                 log.warning("%s: send counter exhausted, forcing a re-key",
                             self.group)
                 self.drivers[""].force_rekey(now)
+                self._wakeup = _STALE
             raise
 
     # -------------------------------------------------------------- internals

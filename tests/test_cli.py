@@ -155,6 +155,27 @@ def test_bench_discovery_emits_csv(capsys):
     assert float(row["virtual_s"]) < 30
 
 
+#: bench-discovery rows (joins, join_responses, gka_rounds, restarts,
+#: virtual_s) at 10 % loss for N = 2, 4, 8 and 16; a change that only makes
+#: the code faster leaves every draw, event and count as it is
+DISCOVERY_SCHEDULE = {
+    1: ["4,4,4,0,0.6", "4,5,20,0,0.85", "8,10,47,0,0.85", "16,8,100,0,1.05"],
+    2: ["4,3,7,0,0.85", "6,4,29,0,1.1", "8,6,30,0,0.85", "16,15,121,0,1.1"],
+    3: ["4,4,7,0,0.85", "4,5,29,0,1.1", "8,11,49,0,1.1", "16,18,103,0,1.05"],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DISCOVERY_SCHEDULE))
+def test_bench_discovery_schedule_is_pinned(capsys, seed):
+    code, out = run(capsys, "bench-discovery", "--nodes", "2,4,8,16",
+                    "--seed", str(seed))
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [",".join(r[k] for k in ("joins", "join_responses", "gka_rounds",
+                                    "restarts", "virtual_s"))
+            for r in rows] == DISCOVERY_SCHEDULE[seed]
+
+
 def test_latency_rows_pair_plain_and_secure():
     plain = _latency_row("udp", "plain", 100, 3, 0, 1, [0.1, 0.2, 0.3])
     secure = _latency_row("udp", "secure", 100, 3, 1, 2, [0.3, 0.4])

@@ -932,6 +932,42 @@ def test_forged_copy_of_own_view_does_not_skip_gossip(make_drivers,
     assert MsgKind.JOIN_RESPONSE in kinds(a.on_timer(a._gossip_at))
 
 
+def test_byte_equal_view_settles_without_a_parse(make_drivers, monkeypatch,
+                                                verify_calls):
+    # most views a node hears are its own view and floor, byte for byte:
+    # they are never parsed, yet count the drop reasons and signature
+    # checks of a full parse of the same inputs, here forced by hiding
+    # the node's own encoding
+    parses = []
+    real = discovery.parse_join_response_payload
+    monkeypatch.setattr(discovery, "parse_join_response_payload",
+                        lambda payload: parses.append(payload) or real(
+                            payload))
+    runs = []
+    for full in (False, True):
+        a, view = gathering_pair(make_drivers)
+        (c,) = make_drivers([3], group=a.scope.group)
+        if full:
+            monkeypatch.setattr(a, "_view_payload", lambda: b"")
+        forged = dataclasses.replace(
+            view, signature=bytes(reversed(view.signature)))
+        resigned = sign_envelope(MsgKind.JOIN_RESPONSE, a.scope, c.identity,
+                                 view.payload)
+        parses.clear()
+        verify_calls.clear()
+        # a forged copy, the view, a copy of it, the same payload from an
+        # unknown node, then from a node known by its JOIN but not listed
+        for env in (forged, view, view, resigned, *c.initiate_join(0.1),
+                    resigned):
+            assert a.handle(env, 0.105) == []
+        assert len(parses) == (5 if full else 0)
+        runs.append((len(verify_calls), a.stats))
+    (verified, stats), full = runs
+    assert (verified, stats) == full
+    assert stats == {"bad_signature": 1, "view_echo": 1, "no_news": 1,
+                       "unknown_responder": 1, "foreign_responder": 1}
+
+
 def test_differing_view_never_skips_gossip(make_drivers, verify_calls):
     a, b, c = make_drivers([1, 2, 3])
     a.initiate_join(0.0)

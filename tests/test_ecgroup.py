@@ -10,12 +10,14 @@ plain ECDH exchange.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcmsec import ecgroup
 from lcmsec.ecgroup import (ELEMENT_LEN, IDENTITY_BYTES, P256, P256_GX,
                             P256_GY, P256_ORDER)
 from lcmsec.errors import InvalidElement
@@ -214,6 +216,69 @@ def test_exp_on_minus_g_is_minus_kg():
     # exchange against
     for k in (1, 2, 0xC0FFEE, P256_ORDER - 1):
         assert P256.exp(P256.inv(G), k) == P256.inv(ladder_exp(G, k))
+
+
+# ---------------------------------------- complete addition against the ladder
+
+
+ADDITION_CASES = {
+    # both operands as scalars of G, 0 for the identity
+    "P+Q": lambda a, b: (a, b),
+    "P+P": lambda a, b: (a, a),
+    "P+(-P)": lambda a, b: (a, P256_ORDER - a),
+    "P+O": lambda a, b: (a, 0),
+    "O+P": lambda a, b: (0, a),
+    "O+O": lambda a, b: (0, 0),
+}
+nonzero = st.integers(min_value=1, max_value=P - 1)
+
+
+@given(st.sampled_from(sorted(ADDITION_CASES)), scalars, scalars, nonzero,
+       nonzero)
+@settings(max_examples=200, deadline=None)
+def test_addition_matches_ladder(case, a, b, lam, mu):
+    sa, sb = ADDITION_CASES[case](a, b)
+    pt1, pt2 = ladder_exp(G, sa), ladder_exp(G, sb)
+    want = ladder_exp(G, sa + sb)
+    assert P256.op(pt1, pt2) == want
+    # projective inputs with any Z, as a sum that is still being folded
+    scaled = [tuple(c * k % P for c in P256.projective(pt))
+              for pt, k in ((pt1, lam), (pt2, mu))]
+    total = P256.add(*scaled)
+    assert P256.affine(total) == want
+    assert P256.equal(total, P256.projective(want))
+    assert P256.equal(scaled[0], P256.projective(pt1))
+    assert not P256.equal(total, P256.projective(ladder_exp(G, sa + sb + 1)))
+
+
+def _lines_run(fn, *args) -> list[tuple[str, int]]:
+    """The lines of ``lcmsec/ecgroup.py`` that ``fn(*args)`` executes."""
+    lines = []
+
+    def trace(frame, event, _):
+        if frame.f_code.co_filename != ecgroup.__file__:
+            return None
+        if event == "line":
+            lines.append((frame.f_code.co_name, frame.f_lineno))
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+def test_addition_runs_the_same_lines_for_every_case():
+    # no exceptional case: doubling and inverse inputs take the generic
+    # path, and the identity they may yield is selected, not branched to
+    pt = ladder_exp(G, 0x5EED)
+    generic = _lines_run(P256.op, pt, ladder_exp(G, 0xC0FFEE))
+    assert {name for name, _ in generic} >= {"op", "add", "affine"}
+    assert _lines_run(P256.op, pt, pt) == generic
+    assert _lines_run(P256.op, pt, P256.inv(pt)) == generic
 
 
 # ------------------------------------------------------------------ encoding

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime
 import itertools
@@ -18,7 +19,8 @@ from cryptography.x509.oid import NameOID
 
 from ivlog import IvLog
 from lcmsec import crypto, discovery, gka, session, wire
-from lcmsec.errors import CounterExhausted, Expired, NoKey, NotAuthorized
+from lcmsec.errors import (CounterExhausted, Expired, LcmsecError, NoKey,
+                           NotAuthorized)
 from lcmsec.gka import LocalIdentity
 from lcmsec.identity import DomainUrn, PeerCertificate
 from lcmsec.node import LcmsecNode
@@ -169,6 +171,14 @@ def test_counter_exhaustion_forces_rekey_and_resumes(make_cluster):
     assert ("chatter", b"back on the air") in nodes[1].take_deliveries()
 
 
+def force_rekey(node, now):
+    """Start a group re-key the way a node does: a publish on a spent
+    send counter."""
+    node.session.counter.force(0xFFFFFFFF)
+    with pytest.raises(CounterExhausted):
+        node.publish(node.channels[0], b"spent", now)
+
+
 def failed_agreements(nodes) -> int:
     return sum(d.stats.get("agreements_failed", 0)
                for n in nodes for d in n.drivers.values())
@@ -180,9 +190,7 @@ def test_forced_rekey_freezes_every_member(make_cluster, n, seed):
     runner.start_all()
     assert settle(runner, nodes)
     t0 = net.now
-    nodes[0].session.counter.force(0xFFFFFFFF)
-    with pytest.raises(CounterExhausted):
-        nodes[0].publish("chatter", b"spent", t0)
+    force_rekey(nodes[0], t0)
     # the committed peers adopt the re-key's view and freeze with it, so
     # the agreement does not first run without them and time out
     assert runner.run_while(
@@ -190,6 +198,66 @@ def test_forced_rekey_freezes_every_member(make_cluster, n, seed):
         t_max=t0 + 30.0, step=0.005)
     assert failed_agreements(nodes) == 0
     assert net.now - t0 < 1.0
+
+
+def test_cached_wakeup_matches_a_fresh_walk(make_cluster, member_factory,
+                                           roots):
+    # a node keeps its next wakeup until a call that can move a timer.
+    # After every event of a cold start, a join under publishes and a
+    # re-key forced through the node, it equals a fresh walk over the
+    # drivers
+    net, runner, nodes = make_cluster(3, seed=11, delay_mu=0.025,
+                                      delay_sigma=0.005)
+    events = Counter()
+
+    def fresh(node):
+        return min((t for t in (d.next_wakeup()
+                                for d in node.drivers.values())
+                    if t is not None), default=None)
+
+    def checked(node):
+        def wrap(name):
+            call = getattr(node, name)
+
+            def run(*args):
+                try:
+                    return call(*args)
+                finally:
+                    data = name == "handle_datagram" and \
+                        args[0][:4] != _MANAGEMENT_MAGIC
+                    events["data" if data else name] += 1
+                    assert node.next_wakeup() == fresh(node), (name, args)
+            setattr(node, name, run)
+        for name in ("start", "handle_datagram", "on_timer", "publish"):
+            wrap(name)
+        return node
+
+    for node in nodes:
+        checked(node)
+    runner.start_all()
+    assert settle(runner, nodes)
+    cert, key = member_factory(nodes[0].group, ("*",), uid=9)
+    late = checked(LcmsecNode(LocalIdentity(9, cert, key), roots,
+                              nodes[0].group, ("chatter",),
+                              random.Random(99)))
+    ep = runner.add(late)
+    assert late.next_wakeup() is None       # kept until start moves it
+    for out in late.start(net.now):
+        ep.send(out)
+    everyone = nodes + [late]
+    while not (all(n.ready for n in everyone)
+               and len({n.group_seed for n in everyone}) == 1):
+        assert net.now < 30.0, "the join never completed"
+        with contextlib.suppress(LcmsecError):
+            runner.publish(0, "chatter", b"meanwhile")
+        runner.run_until(net.now + 0.02)
+    epoch = nodes[0].group_epoch
+    force_rekey(nodes[0], net.now)
+    assert runner.run_while(
+        lambda: not all(n.ready and n.group_epoch == epoch + 1
+                        for n in nodes), net.now + 10.0)
+    assert events["data"] > 0 and events["on_timer"] > 0
+    assert events["publish"] > 0 and events["start"] == len(everyone)
 
 
 def test_channel_key_binds_the_group_seed_not_only_its_instance(
@@ -636,7 +704,7 @@ def test_member_certificate_lapses_in_a_running_group(make_cluster,
     assert settle(runner, nodes, t_max=2.0)
     old = nodes[0].group_seed
     runner.run_until(4.0)
-    nodes[0].drivers[""].force_rekey(net.now)
+    force_rekey(nodes[0], net.now)
     rest, lapsed = nodes[:3], nodes[3]
 
     def rekeyed():
@@ -953,7 +1021,7 @@ def test_members_rekey_past_a_lapsed_member_without_a_failure(
     old = nodes[0].group_seed
     runner.run_until(4.0)
     t0 = net.now
-    nodes[0].drivers[""].force_rekey(t0)
+    force_rekey(nodes[0], t0)
     rest = nodes[:-1]
 
     def rekeyed():
